@@ -1,35 +1,29 @@
-"""Hot numeric kernels: sparse polynomial batch evaluation and gradients.
+"""Hot numeric kernels: sparse polynomial values and gradients.
 
-Every sampled supremum (Bloch seminorms, sigma estimates, spectrum
-clouds) reduces to evaluating a sparse multi-index polynomial and its
-gradient over tens of thousands of points. These two kernels carry
-numba @njit versions with a pure-numpy fallback.
+Every sampled supremum reduces to evaluating sum_t c_t prod_j z_j^p_tj
+and its gradient at the rows of Z. Both kernels start each term from its
+coefficient, multiply in its factors z_j^p (p != 0) in ascending j and
+add the terms onto zero in order, so their results are bit-identical:
 
-Backend selection: env var BLOCHKIT_NUMBA. Unset or truthy -> numba
-when importable; "0"/"false"/"off" -> numpy fallback. When numba is
-active, large batches still route to the numpy kernels, which are
-faster once their per-call overhead is amortized.
+- the power table, for calls with at most TABLE_MAX_POINTS points such
+  as the single-point refinement steps, computes z_j^k once and gathers
+  every term's factors from it in a few array operations;
+- the term loop, for large sample batches, amortizes its per-term
+  overhead over the points.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
-_flag = os.environ.get("BLOCHKIT_NUMBA", "1").strip().lower()
-USE_NUMBA = HAVE_NUMBA and _flag not in ("0", "false", "off", "no")
+# The table is faster up to a few hundred points; switching at 32 keeps its
+# temporaries (points x terms x coordinates complex values) small.
+TABLE_MAX_POINTS = 32
 
 
-def poly_eval_numpy(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def poly_eval_loop(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
     m = Z.shape[0]
     out = np.zeros(m, dtype=np.complex128)
     for t in range(pows.shape[0]):
@@ -42,7 +36,7 @@ def poly_eval_numpy(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.n
     return out
 
 
-def poly_grad_numpy(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def poly_grad_loop(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
     m, n = Z.shape
     out = np.zeros((m, n), dtype=np.complex128)
     for t in range(pows.shape[0]):
@@ -59,72 +53,70 @@ def poly_grad_numpy(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.n
     return out
 
 
-if HAVE_NUMBA:
+class _Sums:
+    """In-order sums of monomials read from a table of coordinate powers:
+    sum r at row i of Z is sum_w coef[r, w] * prod_k Z[i, k]^exps[r, w, k],
+    with the factors of exponent 0 skipped."""
 
-    @numba.njit(cache=True)
-    def _poly_eval_njit(pows, coeffs, Z):  # pragma: no cover - compiled
-        m, n = Z.shape
-        out = np.zeros(m, dtype=np.complex128)
-        for i in range(m):
-            acc = 0.0 + 0.0j
-            for t in range(pows.shape[0]):
-                term = coeffs[t]
-                for j in range(n):
-                    p = pows[t, j]
-                    if p:
-                        term = term * Z[i, j] ** p
-                acc += term
-            out[i] = acc
-        return out
+    def __init__(self, exps: np.ndarray):
+        top = int(exps.max(initial=0))
+        self.powers = np.arange(top + 1)
+        self.index = np.moveaxis(exps + (top + 1) * np.arange(exps.shape[-1]), -1, 0)
+        self.live = np.moveaxis(exps != 0, -1, 0)
 
-    @numba.njit(cache=True)
-    def _poly_grad_njit(pows, coeffs, Z):  # pragma: no cover - compiled
-        m, n = Z.shape
-        out = np.zeros((m, n), dtype=np.complex128)
-        for i in range(m):
-            for t in range(pows.shape[0]):
-                for j in range(n):
-                    pj = pows[t, j]
-                    if pj == 0:
-                        continue
-                    term = coeffs[t] * pj
-                    for k in range(n):
-                        p = pows[t, k]
-                        if k == j:
-                            p -= 1
-                        if p:
-                            term = term * Z[i, k] ** p
-                    out[i, j] += term
-        return out
-
-    poly_eval_numba = _poly_eval_njit
-    poly_grad_numba = _poly_grad_njit
-else:  # pragma: no cover
-    poly_eval_numba = None
-    poly_grad_numba = None
+    def __call__(self, coef: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        m = Z.shape[0]
+        table = (Z[:, :, None] ** self.powers).reshape(m, -1)
+        acc = np.zeros((m, coef.shape[0], coef.shape[1] + 1), dtype=np.complex128)
+        terms = acc[:, :, 1:]
+        terms[...] = coef
+        for index, live in zip(self.index, self.live):
+            np.multiply(terms, table[:, index], out=terms, where=live)
+        np.cumsum(acc, axis=2, out=acc)
+        return acc[:, :, -1].copy()
 
 
-# The numpy kernels amortize their per-call array overhead over large point
-# batches, while the compiled loops win on the small and single-point calls
-# issued by the refinement stages; break-even sits near 40 points.
-_CROSSOVER = 40
+@lru_cache(maxsize=128)
+def _table_sums(shape: tuple[int, int], pows_bytes: bytes):
+    """The value sum and the n gradient sums of an int64 exponent matrix.
+    Gradient sum j keeps the terms with p_j != 0 in order, padded to a
+    common width; slot w takes coefficient source[j, w] (the zero appended
+    after the last one for padding) times scale[j, w] = p_j."""
+    pows = np.frombuffer(pows_bytes, dtype=np.int64).reshape(shape)
+    t, n = shape
+    width = int(np.count_nonzero(pows, axis=0).max(initial=0))
+    exps = np.zeros((n, width, n), dtype=np.int64)
+    source = np.full((n, width), t)
+    scale = np.zeros((n, width), dtype=np.int64)
+    for j in range(n):
+        rows = np.flatnonzero(pows[:, j])
+        exps[j, :len(rows)] = pows[rows]
+        exps[j, :len(rows), j] -= 1
+        source[j, :len(rows)] = rows
+        scale[j, :len(rows)] = pows[rows, j]
+    return _Sums(pows[None]), _Sums(exps), source, scale
 
-if USE_NUMBA:
 
-    def poly_eval(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        if Z.shape[0] <= _CROSSOVER:
-            return poly_eval_numba(pows, coeffs, Z)
-        return poly_eval_numpy(pows, coeffs, Z)
+def poly_eval_table(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    return _table_sums(pows.shape, pows.tobytes())[0](coeffs[None], Z)[:, 0]
 
-    def poly_grad(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        if Z.shape[0] <= _CROSSOVER:
-            return poly_grad_numba(pows, coeffs, Z)
-        return poly_grad_numpy(pows, coeffs, Z)
 
-else:
-    poly_eval = poly_eval_numpy
-    poly_grad = poly_grad_numpy
+def poly_grad_table(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    _, grad, source, scale = _table_sums(pows.shape, pows.tobytes())
+    return grad(np.append(coeffs, 0)[source] * scale, Z)
+
+
+def poly_eval(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    if Z.shape[0] <= TABLE_MAX_POINTS:
+        return poly_eval_table(pows, coeffs, Z)
+    return poly_eval_loop(pows, coeffs, Z)
+
+
+def poly_grad(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    if Z.shape[0] <= TABLE_MAX_POINTS:
+        return poly_grad_table(pows, coeffs, Z)
+    return poly_grad_loop(pows, coeffs, Z)
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

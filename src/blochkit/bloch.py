@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from math import atanh, inf, sqrt
 
 import numpy as np
-from scipy import stats
-from scipy.stats import qmc
+from scipy.special import ndtri
 
 from .domains import (DomainDescriptor, Kind, _as_point, contains,
                       polydisk as polydisk_domain, sample_interior,
@@ -88,12 +87,13 @@ def q_value_via_metric(d: DomainDescriptor, f: SymbolExpr, z) -> float:
 
 
 def _sobol_unit_directions(ndirs: int, n: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc  # slow to import: keep it out of `import blochkit`
     eng = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         x = eng.random(ndirs)
     tiny = 2.0 ** -53
-    g = stats.norm.ppf(np.clip(x, tiny, 1.0 - tiny))
+    g = ndtri(np.clip(x, tiny, 1.0 - tiny))
     u = g[:, :n] + 1j * g[:, n:]
     norms = np.linalg.norm(u, axis=1)
     bad = norms == 0

@@ -17,7 +17,8 @@ forms in coordinate k with parameter w (principal branch Log only):
     h:  z -> (1/2) Log((|w| + z_k conj(w)) / (|w| - z_k conj(w))),  w != 0
 
 Polynomial-only subexpressions fold to a single sparse polynomial at
-parse time. Total degree is capped at 64.
+parse time. Total degree is capped at 64 and an expanded product at
+TERM_CAP terms.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from . import _kernels
 from .errors import BranchCutError, DimensionMismatch, ParseError, UsageError
 
 DEGREE_CAP = 64
+TERM_CAP = 10_000  # stops an expansion early; also bounds kernel temporaries
 BRANCH_GUARD = 1e-12
 
 
@@ -134,6 +136,8 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
             if sum(e) > DEGREE_CAP:
                 raise UsageError(f"polynomial degree exceeds cap {DEGREE_CAP}")
             d[e] = d.get(e, 0) + ca * cb
+        if len(d) > TERM_CAP:
+            raise UsageError(f"polynomial expansion exceeds {TERM_CAP} terms")
     return _poly_from_dict(a.arity, d)
 
 

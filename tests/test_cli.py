@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -248,6 +249,8 @@ def test_exit_code_usage_error(capsys):
     capsys.readouterr()
     assert main(["beta", "--domain", "nonsense", "--symbol", "z1"]) == 1
     capsys.readouterr()
+    assert main(["beta", "--domain", "ball:4", "--symbol", "(1+z1+z2+z3+z4)^64"]) == 1
+    assert "terms" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_domain_error(capsys):
@@ -309,3 +312,12 @@ def test_module_entry_point_subprocess():
     assert out.returncode == 0
     m = json.loads(out.stdout)
     assert m["results"][0]["value"] == pytest.approx(0.816496580927726, abs=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only the direction oracle needs it
+    code = "import sys, blochkit; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ))
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "False"

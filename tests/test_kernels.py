@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import blochkit
 from blochkit import _kernels as kernels
 from blochkit import backend_name
 
@@ -21,57 +15,72 @@ def _random_case(seed, nterms=6, arity=3, npoints=40):
 
 def test_numpy_eval_matches_direct_sum():
     pows, coeffs, Z = _random_case(0)
-    vals = kernels.poly_eval_numpy(pows, coeffs, Z)
-    for i in range(Z.shape[0]):
-        direct = sum(c * np.prod(Z[i] ** p) for p, c in zip(pows, coeffs))
-        assert vals[i] == pytest.approx(direct, rel=1e-12)
+    for kernel in (kernels.poly_eval_loop, kernels.poly_eval_table):
+        vals = kernel(pows, coeffs, Z)
+        for i in range(Z.shape[0]):
+            direct = sum(c * np.prod(Z[i] ** p) for p, c in zip(pows, coeffs))
+            assert vals[i] == pytest.approx(direct, rel=1e-12)
 
 
 def test_numpy_grad_matches_finite_difference():
     pows, coeffs, Z = _random_case(1, npoints=10)
-    G = kernels.poly_grad_numpy(pows, coeffs, Z)
-    h = 1e-7
-    for i in range(Z.shape[0]):
-        for k in range(Z.shape[1]):
-            e = np.zeros(Z.shape[1], dtype=complex)
-            e[k] = h
-            fp = kernels.poly_eval_numpy(pows, coeffs, (Z[i] + e)[None, :])[0]
-            fm = kernels.poly_eval_numpy(pows, coeffs, (Z[i] - e)[None, :])[0]
-            num = (fp - fm) / (2 * h)
-            assert abs(num - G[i, k]) <= 1e-5 * max(1.0, abs(G[i, k]))
+    for kernel in (kernels.poly_grad_loop, kernels.poly_grad_table):
+        G = kernel(pows, coeffs, Z)
+        h = 1e-7
+        for i in range(Z.shape[0]):
+            for k in range(Z.shape[1]):
+                e = np.zeros(Z.shape[1], dtype=complex)
+                e[k] = h
+                fp = kernels.poly_eval(pows, coeffs, (Z[i] + e)[None, :])[0]
+                fm = kernels.poly_eval(pows, coeffs, (Z[i] - e)[None, :])[0]
+                num = (fp - fm) / (2 * h)
+                assert abs(num - G[i, k]) <= 1e-5 * max(1.0, abs(G[i, k]))
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree():
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _table_cases():
+    rng = np.random.default_rng(7)
+    limit = kernels.TABLE_MAX_POINTS
     for seed in range(3):
-        pows, coeffs, Z = _random_case(seed)
-        ref_vals = kernels.poly_eval_numpy(pows, coeffs, Z)
-        jit_vals = kernels.poly_eval_numba(pows, coeffs, Z)
-        np.testing.assert_allclose(jit_vals, ref_vals, rtol=1e-12, atol=1e-14)
-        ref_grad = kernels.poly_grad_numpy(pows, coeffs, Z)
-        jit_grad = kernels.poly_grad_numba(pows, coeffs, Z)
-        np.testing.assert_allclose(jit_grad, ref_grad, rtol=1e-12, atol=1e-14)
+        yield _random_case(seed)
+    # a constant with a negative-zero imaginary part (the in-order sum starts
+    # from +0, so the value's imaginary part is +0), a constant term, a single term
+    points = np.array([[0.0, 0.0], [0.3 - 0.2j, -0.1j]])
+    yield np.array([[0, 0]]), np.array([complex(-1.0, -0.0)]), points
+    yield np.array([[0, 0], [2, 1]]), np.array([complex(-1.0, -0.0), 0.5 + 2j]), points
+    yield np.array([[3, 0, 1]]), np.array([2 - 1j]), 0.5 * np.ones((3, 3)) + 0.1j
+    # a coordinate no term uses, and a term using no coordinate
+    pows = rng.integers(0, 5, size=(12, 4))
+    pows[:, 2] = 0
+    pows[0] = 0
+    coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    yield pows, coeffs, 0.4 * (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
+    # degree 64, the point count at the switch and one above it
+    pows = np.array([[64, 0], [0, 64], [32, 32], [63, 1], [1, 0], [0, 0]])
+    coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    for m in (limit, limit + 1):
+        Z = 0.99 * np.exp(2j * np.pi * rng.random((m, 2)))
+        Z[0] = 0.0
+        yield pows, coeffs, Z
+
+
+def test_table_kernel_matches_loop_bitwise():
+    for pows, coeffs, Z in _table_cases():
+        pows = np.asarray(pows, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        Z = np.asarray(Z, dtype=np.complex128)
+        loop_vals = kernels.poly_eval_loop(pows, coeffs, Z)
+        loop_grad = kernels.poly_grad_loop(pows, coeffs, Z)
+        for vals in (kernels.poly_eval_table(pows, coeffs, Z), kernels.poly_eval(pows, coeffs, Z)):
+            assert vals.shape == loop_vals.shape
+            np.testing.assert_array_equal(_bits(vals), _bits(loop_vals))
+        for grad in (kernels.poly_grad_table(pows, coeffs, Z), kernels.poly_grad(pows, coeffs, Z)):
+            assert grad.shape == loop_grad.shape
+            np.testing.assert_array_equal(_bits(grad), _bits(loop_grad))
 
 
 def test_backend_name_reports_active_kernel():
-    assert backend_name() in ("numba", "numpy")
-    if kernels.USE_NUMBA:
-        assert backend_name() == "numba"
-    else:
-        assert backend_name() == "numpy"
-
-
-def test_backend_env_override_subprocess():
-    # The child inherits the parent's environment (PYTHONPATH included), so
-    # it imports the same blochkit tree; only the backend flag is overridden.
-    env = dict(os.environ, BLOCHKIT_NUMBA="0")
-    code = (
-        "import blochkit; from blochkit import _kernels; "
-        "print(blochkit.backend_name()); print(blochkit.__file__); print(_kernels._flag)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr[-2000:]
-    backend, child_file, flag = out.stdout.strip().splitlines()
-    assert Path(child_file).resolve() == Path(blochkit.__file__).resolve()
-    assert flag == "0"
-    assert backend == "numpy"
+    assert backend_name() == "numpy"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from blochkit import (
     supnorm_upper,
 )
 from blochkit.errors import BranchCutError, DimensionMismatch, ParseError, UsageError
-from blochkit.symbols import DEGREE_CAP, LogFrac, Polynomial, format_complex, is_constant
+from blochkit.symbols import (DEGREE_CAP, TERM_CAP, LogFrac, Polynomial, format_complex,
+                              is_constant)
 
 from conftest import mkpoly
 
@@ -181,6 +183,21 @@ def test_power_degree_cap():
     f = mkpoly(1, {(5,): 1.0})
     with pytest.raises(UsageError):
         combine("power", f, DEGREE_CAP // 5 + 1)
+
+
+def test_power_term_cap():
+    # (1+z1+...+z4)^64 would expand to C(68, 4) = 814385 terms; the
+    # expansion stops once it passes the cap, before it grows large
+    base = parse_symbol("1+z1+z2+z3+z4", 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="terms"):
+            combine("power", base, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(combine("power", base, 16).terms) == math.comb(20, 4) < TERM_CAP
 
 
 def test_is_constant():
