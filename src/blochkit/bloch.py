@@ -2,17 +2,8 @@
 and norm estimators, extremal growth bounds, and decay diagnostics.
 
 Q_f(z) is the supremum over nonzero directions u of
-|grad f(z) . u| / H_z(u, u*)^(1/2). For a Hermitian positive matrix M
-with H_z(u, u*) = u^H M u the supremum has the closed form
-
-    Q_f(z)^2 = g^H (M^T)^(-1) g,   g = grad f(z),
-
-attained at u = M^(-1) conj(g). On the supported domains the inverse
-form reduces further:
-
-    disk/polydisk: Q^2 = sum_k (1 - |z_k|^2)^2 |g_k|^2
-    ball:          Q^2 = (1 - |z|^2) (|g|^2 - |g . z|^2)
-    products:      coordinate-block sums of the factor forms
+|grad f(z) . u| / H_z(u, u*)^(1/2); its closed forms live in the
+geometry table of `metric`.
 """
 
 from __future__ import annotations
@@ -29,9 +20,9 @@ from .domains import (DomainDescriptor, Kind, _as_point, contains,
                       sample_near_distinguished_boundary)
 from .errors import (OutsideDomainError, UnsupportedMetricError, UsageError)
 from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
-                        MODE_ANALYTIC_BOUNDS, MODE_SAMPLED_LOWER,
+                        MODE_ANALYTIC_BOUNDS, MODE_EXACT, MODE_SAMPLED_LOWER,
                         SamplingConfig, exact)
-from .metric import (metric_form_dirs, metric_matrix, rho_from_origin,
+from .metric import (geometry, metric_matrix, rho_from_origin,
                      _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
                       gradient, gradient_many, is_constant)
@@ -43,29 +34,11 @@ AGAINST = "evidence-against"
 # ---------------------------------------------------------------------------
 # Q values
 
-def _q_from_grads(d: DomainDescriptor, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-    k = d.kind
-    if k in (Kind.DISK, Kind.POLYDISK):
-        w = (1.0 - np.abs(Z) ** 2) ** 2
-        return np.sqrt(np.sum(w * np.abs(G) ** 2, axis=1))
-    if k is Kind.BALL:
-        r2 = np.sum(np.abs(Z) ** 2, axis=1)
-        dot = np.sum(G * Z, axis=1)
-        val = (1.0 - r2) * (np.sum(np.abs(G) ** 2, axis=1) - np.abs(dot) ** 2)
-        return np.sqrt(np.maximum(val, 0.0))
-    if k is Kind.PRODUCT:
-        acc = np.zeros(Z.shape[0])
-        for s, t, f in d.factor_slices():
-            acc += _q_from_grads(f, Z[:, s:t], G[:, s:t]) ** 2
-        return np.sqrt(acc)
-    raise UnsupportedMetricError(f"Q not available for {d}")
-
-
 def q_values(d: DomainDescriptor, f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
     """Batch Q_f over rows of Z (assumed interior)."""
-    _require_metric(d)
+    q = geometry(d).q
     Z = np.asarray(Z, dtype=np.complex128)
-    return _q_from_grads(d, Z, gradient_many(f, Z))
+    return q(Z, gradient_many(f, Z))
 
 
 def q_value(d: DomainDescriptor, f: SymbolExpr, z) -> float:
@@ -116,15 +89,14 @@ def q_value_oracle(d: DomainDescriptor, f: SymbolExpr, z, ndirs: int = 4096,
     g = gradient(f, z)
     if not np.any(g):
         return 0.0
-    n = len(z)
-    U = _sobol_unit_directions(ndirs, n, seed)
-    M = metric_matrix(d, z)
-    ustar = np.linalg.solve(M, np.conj(g))
+    geo = geometry(d)
+    U = _sobol_unit_directions(ndirs, len(z), seed)
+    ustar = np.linalg.solve(geo.matrix(z), np.conj(g))
     nrm = np.linalg.norm(ustar)
     if nrm > 0:
         U = np.vstack([U, ustar / nrm])
     num = np.abs(U @ g)
-    den = np.sqrt(metric_form_dirs(d, z, U))
+    den = np.sqrt(geo.form(z, U))
     return float(np.max(num / den))
 
 
@@ -300,12 +272,7 @@ def omega_exact_ball(z) -> float:
 def omega_polydisk_bounds(z) -> EstimateInterval:
     """[max_k arctanh|z_k|, straight-segment length] on the polydisk."""
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    d = polydisk_domain(len(z))
-    if not contains(d, z):
-        raise OutsideDomainError("point not interior to the polydisk")
-    lower = max(atanh(abs(c)) for c in z)
-    upper = rho_from_origin(d, z).upper
-    return EstimateInterval(lower, max(lower, upper), MODE_ANALYTIC_BOUNDS)
+    return rho_from_origin(polydisk_domain(len(z)), z)
 
 
 @dataclass(frozen=True)
@@ -392,16 +359,14 @@ def omega_empirical_lower(d: DomainDescriptor, z,
 
 
 def omega_bounds(d: DomainDescriptor, z) -> EstimateInterval:
-    """Domain-dispatching omega interval: exact on disk/ball, the
-    witness/segment sandwich elsewhere."""
+    """Omega interval: exact on disk/ball, where the growth is the
+    distance from the origin, the witness/segment sandwich elsewhere."""
     z = _as_point(d, z)
-    if d.kind in (Kind.DISK, Kind.BALL):
-        return exact(omega_exact_ball(z))
-    if not contains(d, z):
-        raise OutsideDomainError(f"point not interior to {d}")
+    rho = rho_from_origin(d, z)
+    if rho.mode == MODE_EXACT:
+        return rho
     lower = omega_empirical_lower(d, z)
-    upper = rho_from_origin(d, z).upper
-    return EstimateInterval(lower, max(lower, upper), MODE_ANALYTIC_BOUNDS)
+    return EstimateInterval(lower, max(lower, rho.upper), MODE_ANALYTIC_BOUNDS)
 
 
 # ---------------------------------------------------------------------------

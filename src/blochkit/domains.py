@@ -396,8 +396,9 @@ def sample_near_distinguished_boundary(d: DomainDescriptor, count: int,
     """
     if not (0.0 < eps < 1.0):
         raise UsageError("eps must be in (0, 1)")
+    # keyed on the exact bits of eps, so distinct eps draw distinct streams
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=seed, spawn_key=(202, int(eps * 1e12) & 0xFFFFFFFF))))
+        entropy=seed, spawn_key=(202, int(np.float64(eps).view(np.uint64))))))
     return _near_boundary(d, count, eps, rng)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isnan
+from math import inf, isinf, isnan
 
 import numpy as np
 
@@ -52,6 +52,12 @@ class EstimateInterval:
     def finite_upper(self) -> float:
         """Upper end when finite, else the lower point estimate."""
         return self.upper if self.upper < inf else self.lower
+
+    def as_dict(self) -> dict:
+        """lower, upper (None when infinite) and mode, for JSON reports."""
+        return {"lower": self.lower,
+                "upper": None if isinf(self.upper) else self.upper,
+                "mode": self.mode}
 
 
 def exact(v: float) -> EstimateInterval:

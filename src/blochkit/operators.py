@@ -17,6 +17,7 @@ Key facts wired into the verdicts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import atanh, inf, isinf
 
 import numpy as np
@@ -26,12 +27,12 @@ from .bloch import (AGAINST, _golden_max, _sup_estimate, beta_estimate,
                     beta_upper_poly, bloch_norm_estimate,
                     little_star_membership_diagnostic, q_value, q_values)
 from .constants import in_class_D, resolved_constant
-from .domains import (DomainDescriptor, Kind, sample_interior,
+from .domains import (DomainDescriptor, sample_interior,
                       sample_near_distinguished_boundary)
-from .errors import UnsupportedMetricError, UsageError
+from .errors import UsageError
 from .estimates import (EstimateInterval, MODE_ANALYTIC_BOUNDS,
                         MODE_SAMPLED_LOWER, SamplingConfig, exact)
-from .metric import _require_metric
+from .metric import _require_metric, geometry
 from .symbols import (Polynomial, SymbolExpr, combine, constant, evaluate,
                       evaluate_many, is_constant, supnorm_upper)
 
@@ -44,66 +45,14 @@ INCONCLUSIVE = "inconclusive"
 
 
 # ---------------------------------------------------------------------------
-# pointwise growth envelopes
+# boundary weight
 
-def _omega_envelopes(d: DomainDescriptor, little: bool):
-    """(lower, upper) vectorized maps Z -> certified omega bounds.
-
-    With little=True the lower envelope only uses test functions from
-    the vanishing class; on disk and ball the two growths coincide in
-    the limit, so only a 1e-6 shave separates the envelopes.
-    """
-    k = d.kind
-    shave = 1.0 - 1e-6
-
-    if k in (Kind.DISK, Kind.BALL):
-        def lower(Z):
-            r = np.linalg.norm(Z, axis=1)
-            if little:
-                return np.arctanh(shave * r) / shave
-            return np.arctanh(r)
-
-        def upper(Z):
-            return np.arctanh(np.linalg.norm(Z, axis=1))
-
-        return lower, upper
-
-    if k is Kind.POLYDISK:
-        def lower(Z):
-            m = np.max(np.abs(Z), axis=1)
-            if little:
-                return np.arctanh(shave * m) / shave
-            return np.arctanh(m)
-
-        def upper(Z):
-            return np.sum(np.arctanh(np.abs(Z)), axis=1)
-
-        return lower, upper
-
-    if k is Kind.PRODUCT:
-        parts = [(s, t, _omega_envelopes(f, little)) for s, t, f in d.factor_slices()]
-
-        def lower(Z):
-            return np.max(np.stack([lo(Z[:, s:t]) for s, t, (lo, _) in parts]), axis=0)
-
-        def upper(Z):
-            return np.sum(np.stack([hi(Z[:, s:t]) for s, t, (_, hi) in parts]), axis=0)
-
-        return lower, upper
-
-    raise UnsupportedMetricError(f"no growth envelopes for {d}")
-
-
-_PEAK_CACHE: dict[str, float] = {}
-
-
+@cache
 def _radial_peak() -> float:
     # max over r in (0,1) of arctanh(r) * sqrt(1 - r^2)
-    if "peak" not in _PEAK_CACHE:
-        _, val = _golden_max(lambda r: atanh(r) * np.sqrt(1.0 - r * r),
-                             1e-9, 1.0 - 1e-12, 200)
-        _PEAK_CACHE["peak"] = val
-    return _PEAK_CACHE["peak"]
+    _, val = _golden_max(lambda r: atanh(r) * np.sqrt(1.0 - r * r),
+                         1e-9, 1.0 - 1e-12, 200)
+    return val
 
 
 def sigma_upper_poly(d: DomainDescriptor, psi: Polynomial) -> float:
@@ -117,7 +66,7 @@ def sigma_upper_poly(d: DomainDescriptor, psi: Polynomial) -> float:
     """
     if not isinstance(psi, Polynomial):
         raise UsageError("polynomial ceiling needs a polynomial symbol")
-    if d.kind in (Kind.DISK, Kind.BALL):
+    if d.metric_supported and geometry(d).exact:
         return _radial_peak() * beta_upper_poly(psi)
     return inf
 
@@ -137,34 +86,27 @@ def sigma_estimate(d: DomainDescriptor, psi: SymbolExpr,
     """
     if which not in ("sigma", "sigma0"):
         raise UsageError("which must be 'sigma' or 'sigma0'")
-    _require_metric(d)
+    geo = geometry(d)
     if is_constant(psi) is not None:
         return exact(0.0)
-    omega_lower, omega_upper = _omega_envelopes(d, which == "sigma0")
+    little = which == "sigma0"
 
-    def batch(Z):
-        return q_values(d, psi, Z) * omega_lower(Z)
+    def weighted_sup(omega):
+        return _sup_estimate(
+            d, lambda Z: q_values(d, psi, Z) * omega(Z),
+            lambda z: q_value(d, psi, z) * float(omega(z.reshape(1, -1))[0]),
+            cfg)
 
-    def point(z):
-        return q_value(d, psi, z) * float(omega_lower(z.reshape(1, -1))[0])
-
-    lower, argmax, ns = _sup_estimate(d, batch, point, cfg)
-    if d.kind in (Kind.DISK, Kind.BALL):
-        upper = inf
+    lower, argmax, ns = weighted_sup(lambda Z: geo.omega_lower(Z, little))
+    if geo.exact:
+        upper, mode = inf, MODE_SAMPLED_LOWER
         if isinstance(psi, Polynomial):
             upper = max(sigma_upper_poly(d, psi), lower)
-        return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
-                                argmax=tuple(argmax.tolist()))
-
-    def batch_hi(Z):
-        return q_values(d, psi, Z) * omega_upper(Z)
-
-    def point_hi(z):
-        return q_value(d, psi, z) * float(omega_upper(z.reshape(1, -1))[0])
-
-    hi, _, _ = _sup_estimate(d, batch_hi, point_hi, cfg)
-    return EstimateInterval(lower, max(hi, lower), MODE_ANALYTIC_BOUNDS,
-                            ns, cfg.seed, argmax=tuple(argmax.tolist()))
+    else:
+        hi, _, _ = weighted_sup(geo.omega_upper)
+        upper, mode = max(hi, lower), MODE_ANALYTIC_BOUNDS
+    return EstimateInterval(lower, upper, mode, ns, cfg.seed,
+                            argmax=tuple(argmax.tolist()))
 
 
 def supnorm_estimate(d: DomainDescriptor, psi: SymbolExpr,
@@ -225,12 +167,12 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
     sup_lower = float(np.max(np.abs(evaluate_many(
         psi, sample_interior(d, max(256, cfg.samples // 4), cfg.seed,
                              cfg.shells)))))
-    omega_lower, _ = _omega_envelopes(d, little=(space == "B0*"))
+    geo, little = geometry(d), space == "B0*"
     count = max(64, cfg.samples // max(1, len(eps)))
     maxima = []
     for e in eps:
         Z = sample_near_distinguished_boundary(d, count, e, cfg.seed)
-        maxima.append(float(np.max(q_values(d, psi, Z) * omega_lower(Z))))
+        maxima.append(float(np.max(q_values(d, psi, Z) * geo.omega_lower(Z, little))))
     m = tuple(maxima)
     if space == "B0*":
         _, diag = little_star_membership_diagnostic(d, psi, cfg=cfg)
@@ -268,15 +210,19 @@ class NormBounds:
     space: str
 
     def as_dict(self) -> dict:
-        def iv(e: EstimateInterval) -> dict:
-            return {"lower": e.lower,
-                    "upper": None if isinf(e.upper) else e.upper,
-                    "mode": e.mode}
         return {"lower": self.lower,
                 "upper": None if isinf(self.upper) else self.upper,
                 "space": self.space,
-                "supnorm": iv(self.sup), "bloch_norm": iv(self.bloch),
-                "boundary_weight": iv(self.sigma)}
+                "supnorm": self.sup.as_dict(), "bloch_norm": self.bloch.as_dict(),
+                "boundary_weight": self.sigma.as_dict()}
+
+
+def _bloch_norm_ceiling(d: DomainDescriptor, psi: SymbolExpr) -> float | None:
+    """Certified Bloch-norm upper bound |psi(0)| + beta_upper_poly(psi)
+    of a polynomial symbol; None for other symbols."""
+    if not isinstance(psi, Polynomial):
+        return None
+    return abs(evaluate(psi, np.zeros(d.ambient_dim))) + beta_upper_poly(psi)
 
 
 def norm_bounds(d: DomainDescriptor, psi: SymbolExpr,
@@ -292,11 +238,9 @@ def norm_bounds(d: DomainDescriptor, psi: SymbolExpr,
     """
     if space not in ("B", "B0*"):
         raise UsageError("space must be 'B' or 'B0*'")
-    cert = None
-    if isinstance(psi, Polynomial):
-        cert = abs(evaluate(psi, np.zeros(d.ambient_dim))) + beta_upper_poly(psi)
     sup_est = supnorm_estimate(d, psi, cfg)
-    bloch_est = bloch_norm_estimate(d, psi, cfg, certified_upper=cert)
+    bloch_est = bloch_norm_estimate(d, psi, cfg,
+                                    certified_upper=_bloch_norm_ceiling(d, psi))
     sigma_est = sigma_estimate(d, psi, cfg,
                                which=("sigma0" if space == "B0*" else "sigma"))
     lower = max(sup_est.lower, bloch_est.lower)
@@ -334,7 +278,7 @@ def empirical_opnorm_lower(d: DomainDescriptor, psi: SymbolExpr,
     _require_metric(d)
     best = 0.0
     for f in _battery(d, nfuncs, seed):
-        denom = abs(evaluate(f, np.zeros(d.ambient_dim))) + beta_upper_poly(f)
+        denom = _bloch_norm_ceiling(d, f)
         if denom <= 0:
             continue
         prod = combine("product", psi, f)
@@ -536,10 +480,8 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
             INCONCLUSIVE,
             "no metric wired for this domain and the ceiling is not below one")
     sup_est = supnorm_estimate(d, psi, cfg)
-    cert = None
-    if isinstance(psi, Polynomial):
-        cert = abs(evaluate(psi, np.zeros(d.ambient_dim))) + beta_upper_poly(psi)
-    norm_est = bloch_norm_estimate(d, psi, cfg, certified_upper=cert)
+    norm_est = bloch_norm_estimate(d, psi, cfg,
+                                   certified_upper=_bloch_norm_ceiling(d, psi))
     m0 = abs(evaluate(psi, np.zeros(d.ambient_dim)))
     if sup_est.lower > 1.0 + 1e-9:
         return IsometryReport("not-isometry-evidence",
@@ -575,31 +517,22 @@ class OperatorReport:
     verdicts: dict
 
     def as_dict(self) -> dict:
-        def iv(e: EstimateInterval) -> dict:
-            return {"lower": e.lower,
-                    "upper": None if isinf(e.upper) else e.upper,
-                    "mode": e.mode}
         return {"domain": self.domain, "symbol": self.symbol_text,
-                "sup_norm": iv(self.sup_norm), "bloch_norm": iv(self.bloch_norm),
-                "sigma": iv(self.sigma), "sigma0": iv(self.sigma0),
+                "sup_norm": self.sup_norm.as_dict(),
+                "bloch_norm": self.bloch_norm.as_dict(),
+                "sigma": self.sigma.as_dict(), "sigma0": self.sigma0.as_dict(),
                 "verdicts": self.verdicts}
 
 
 def operator_report(d: DomainDescriptor, psi: SymbolExpr, symbol_text: str,
                     cfg: SamplingConfig = SamplingConfig()) -> OperatorReport:
-    cert = None
-    if isinstance(psi, Polynomial):
-        cert = abs(evaluate(psi, np.zeros(d.ambient_dim))) + beta_upper_poly(psi)
-    sup_est = supnorm_estimate(d, psi, cfg)
-    bloch_est = bloch_norm_estimate(d, psi, cfg, certified_upper=cert)
-    sig = sigma_estimate(d, psi, cfg, which="sigma")
+    nb = norm_bounds(d, psi, cfg)
     sig0 = sigma_estimate(d, psi, cfg, which="sigma0")
-    lower = max(sup_est.lower, bloch_est.lower)
     verdicts = {
-        "norm_lower": lower,
-        "norm_upper_B": max(bloch_est.upper, sup_est.upper + sig.upper, lower),
-        "norm_upper_B0*": max(bloch_est.upper, sup_est.upper + sig0.upper, lower),
+        "norm_lower": nb.lower,
+        "norm_upper_B": nb.upper,
+        "norm_upper_B0*": max(nb.bloch.upper, nb.sup.upper + sig0.upper, nb.lower),
         "boundedness": boundedness_verdict(d, psi, cfg).as_dict(),
     }
-    return OperatorReport(str(d), symbol_text, sup_est, bloch_est, sig, sig0,
+    return OperatorReport(str(d), symbol_text, nb.sup, nb.bloch, nb.sigma, sig0,
                           verdicts)

@@ -249,6 +249,11 @@ def test_omega_bounds_exact_on_disk_and_ball():
     assert est.lower == pytest.approx(ATANH_HALF, abs=1e-12)
     est2 = omega_bounds(ball(3), (0.3, 0.0, 0.4))
     assert est2.lower == est2.upper == pytest.approx(ATANH_HALF, abs=1e-12)
+    # inside |z| < 1 but within the membership margin, as on the polydisk
+    edge = 1.0 - 1e-13
+    for d, z in ((disk(), edge), (ball(2), (edge, 0.0)), (polydisk(2), (edge, 0.0))):
+        with pytest.raises(OutsideDomainError):
+            omega_bounds(d, z)
 
 
 def test_omega_bounds_interval_on_polydisk():

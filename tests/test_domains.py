@@ -203,6 +203,14 @@ def test_boundary_sampler_ball_and_polydisk():
     np.testing.assert_array_equal(Zb, again)
 
 
+def test_boundary_sampler_streams_differ_across_eps():
+    # eps values 2^32 / 1e12 apart shared one stream when keyed on int(eps * 1e12)
+    a = sample_near_distinguished_boundary(ball(2), 50, 0.1, seed=3)
+    b = sample_near_distinguished_boundary(ball(2), 50, 0.1 + 2**32 / 1e12, seed=3)
+    assert np.max(np.abs(a / np.linalg.norm(a, axis=1, keepdims=True)
+                         - b / np.linalg.norm(b, axis=1, keepdims=True))) > 0.1
+
+
 def test_boundary_sampler_validation():
     with pytest.raises(UsageError):
         sample_near_distinguished_boundary(disk(), 10, 0.0, seed=0)

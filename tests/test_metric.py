@@ -16,10 +16,13 @@ from blochkit import (
     sample_interior,
     segment_from_origin,
 )
+from blochkit.domains import _METRIC_KINDS
 from blochkit.errors import OutsideDomainError, UnsupportedMetricError, UsageError
 from blochkit.metric import (
+    _GEOMETRY,
     HermitianMetric,
     PiecewisePath,
+    geometry,
     metric_form,
     omega_upper_closed,
 )
@@ -66,12 +69,20 @@ def test_metric_hermitian_positive_definite_sampled():
 
 
 def test_metric_form_matches_matrix():
-    d = ball(2)
-    z = np.array([0.3, 0.4j], dtype=complex)
-    u = np.array([0.7, -0.2 + 0.5j], dtype=complex)
-    M = metric_matrix(d, z)
-    expected = float(np.real(u.conj() @ M @ u))
-    assert metric_form(d, z, u) == pytest.approx(expected, rel=1e-12)
+    rng = np.random.default_rng(5)
+    for d in (disk(), ball(2), ball(3), polydisk(3), product(ball(2), disk())):
+        n = d.ambient_dim
+        U = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        for z in sample_interior(d, 10, seed=9):
+            M = metric_matrix(d, z)
+            expected = np.real(np.einsum("ki,ij,kj->k", U.conj(), M, U))
+            for u, e in zip(U, expected):
+                assert metric_form(d, z, u) == pytest.approx(e, rel=1e-12)
+            np.testing.assert_allclose(geometry(d).form(z, U), expected, rtol=1e-12)
+
+
+def test_geometry_table_covers_the_metric_kinds():
+    assert set(_GEOMETRY) == _METRIC_KINDS
 
 
 def test_bergman_metric_object():

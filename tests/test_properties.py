@@ -15,15 +15,19 @@ from blochkit import (
     constant,
     disk,
     evaluate,
+    omega_empirical_lower,
     parse_domain,
     polydisk,
+    product,
     q_value,
     q_values,
+    rho_from_origin,
     sample_interior,
     sigma_estimate,
     spectrum_cloud,
     supnorm_estimate,
 )
+from blochkit.metric import RHO_UPPER_PAD, geometry
 from blochkit.symbols import format_complex, parse_symbol
 
 from conftest import mkpoly
@@ -97,6 +101,29 @@ def test_q_disk_formula_under_hypothesis(z, w):
     f = mkpoly(1, {(2,): w, (1,): 1.0})
     expected = (1 - abs(z) ** 2) * abs(2 * w * z + 1)
     assert q_value(disk(), f, z) == pytest.approx(expected, abs=1e-10)
+
+
+GROWTH_DOMAINS = (disk(), ball(2), polydisk(2), product(ball(2), disk()))
+unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(k=st.integers(0, len(GROWTH_DOMAINS) - 1),
+       raw=st.lists(unit_complex, min_size=3, max_size=3),
+       radius=st.floats(0.0, 0.9999))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_growth_sandwich(k, raw, radius):
+    d = GROWTH_DOMAINS[k]
+    z = np.asarray(raw[: d.ambient_dim], dtype=complex)
+    for s, t, _ in d.factor_slices():
+        z[s:t] *= radius / max(1.0, float(np.linalg.norm(z[s:t])))
+    geo, Z = geometry(d), z.reshape(1, -1)
+    lower = float(geo.omega_lower(Z)[0])
+    witness = omega_empirical_lower(d, z)
+    rho_upper = rho_from_origin(d, z).upper
+    assert lower <= witness + 1e-9
+    assert witness <= rho_upper + 1e-9
+    assert rho_upper <= float(geo.omega_upper(Z)[0]) + RHO_UPPER_PAD
+    assert float(geo.omega_lower(Z, little=True)[0]) <= lower
 
 
 def test_parse_round_trip_registry():
