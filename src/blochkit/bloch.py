@@ -236,7 +236,7 @@ def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
                             npairs: int = 200, seed: int = 42) -> float:
     """Certified seminorm lower bound from difference quotients
     |f(z) - f(w)| / rho_upper(z, w) over sampled pairs."""
-    from .metric import PiecewisePath, path_length
+    from .metric import RHO_UPPER_PAD, PiecewisePath, path_length
     _require_metric(d)
     A = sample_interior(d, npairs, seed)
     b_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(7,))
@@ -250,7 +250,9 @@ def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
         if gap == 0.0:
             continue
         sep = path_length(d, PiecewisePath.through(np.stack([A[i], B[i]])))
-        sep += 1e-12  # quadrature guard keeps the quotient a lower bound
+        # the summed quadrature error is at most RHO_UPPER_PAD, so the
+        # padded length is an upper distance and the quotient a lower bound
+        sep += RHO_UPPER_PAD
         if sep <= 1e-9:
             continue
         best = max(best, gap / sep)

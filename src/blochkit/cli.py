@@ -38,6 +38,10 @@ from .verify import SUITES, run_suite
 
 _FORMATS = ("json", "csv", "pretty")
 
+# one `beta` call peaks at up to 66 bytes per sample and per coordinate
+# (tracemalloc, disk to ball:10, linear in the sample count)
+_SAMPLE_BYTES = 80
+
 _CONFIG_KEYS = ("domain", "symbol", "point", "samples", "seed", "shells",
                 "eps-ladder", "format", "out", "suite", "question", "k")
 
@@ -98,6 +102,20 @@ def _int(text, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
+def _check_samples(samples: int, spec) -> None:
+    """Refuse a sample count whose arrays would not fit in physical memory."""
+    if samples < 1:
+        raise UsageError("--samples must be >= 1")
+    try:
+        n = parse_domain(spec).ambient_dim if spec else 1
+    except UsageError:
+        n = 1  # the command reports the bad domain itself
+    cap = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // (_SAMPLE_BYTES * n)
+    if samples > cap:
+        raise UsageError(f"--samples {samples} would not fit in memory "
+                         f"(at most {cap} on a {n}-coordinate domain)")
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE")
@@ -149,8 +167,7 @@ def _resolve(args) -> tuple[dict, str]:
     if seed is None:
         seed = os.environ.get("BLOCHKIT_SEED") or 42
     samples = _int(pick(args.samples, "samples") or 20000, "--samples")
-    if samples < 1:
-        raise UsageError("--samples must be >= 1")
+    _check_samples(samples, pick(args.domain, "domain"))
     kw = dict(samples=samples, seed=_int(seed, "--seed"))
     if "shells" in filecfg:
         kw["shells"] = _parse_floats(filecfg["shells"], "shells")

@@ -23,6 +23,12 @@ largest coordinate modulus on the polydisk, largest factor gauge on
 products). On disk and ball that bound is exact: the radial segment
 integrates to arctanh|z|, the identity the omega verify suite re-checks
 numerically. On the polydisk the growth is at most sum_k arctanh|z_k|.
+
+Path lengths integrate H_z(u, u*)^(1/2) along each segment with QUADPACK's
+G10/K21 Gauss-Kronrod rule, batched: each refinement level evaluates the
+metric form once over the open intervals of every segment of the path.
+The error estimates summed over a path stay within QUAD_ABS_TOL = 1e-8,
+the pad that rho uppers and Lipschitz lower bounds carry.
 """
 
 from __future__ import annotations
@@ -32,9 +38,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .domains import DomainDescriptor, Kind, contains, _as_point
+from .domains import EIG_MARGIN, DomainDescriptor, Kind, contains, _as_point
 from .errors import (OutsideDomainError, UnsupportedMetricError, UsageError)
 from .estimates import (EstimateInterval, MODE_ANALYTIC_BOUNDS, exact)
 
@@ -57,7 +62,8 @@ class Geometry:
     direction or rows of directions.
 
     matrix(z)      metric matrix M with H_z(u, u*) = u^H M u
-    form(z, U)     H_z(u, u*) per direction, without assembling M
+    form(Z, U)     H_z(u, u*) without assembling M, broadcast over the
+                   leading axes of points Z and directions U
     q(Z, G)        Q_f per row from the gradients of f
     gauge(Z)       Minkowski functional; arctanh of it is a certified
                    lower bound for both omega(z) and rho(0, z)
@@ -81,9 +87,10 @@ class Geometry:
         return np.arctanh(r)
 
 
-# Per-kind formulas. They reduce with the ndarray.sum method: np.sum gives
-# the same arithmetic but its dispatch is a large share of one
-# single-point call in path quadrature and line searches.
+# Per-kind formulas. `form` broadcasts over leading axes of points and
+# directions. They reduce with the ndarray.sum method: np.sum gives the
+# same arithmetic but its dispatch is a large share of one single-point
+# call in line searches.
 
 def _coord_weights(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 - np.abs(z) ** 2) ** 2
@@ -93,8 +100,8 @@ def _coord_matrix(z: np.ndarray) -> np.ndarray:
     return np.diag(_coord_weights(z)).astype(np.complex128)
 
 
-def _coord_form(z: np.ndarray, U: np.ndarray):
-    return np.abs(U) ** 2 @ _coord_weights(z)
+def _coord_form(Z: np.ndarray, U: np.ndarray):
+    return (np.abs(U) ** 2 * _coord_weights(Z)).sum(axis=-1)
 
 
 def _coord_q(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -108,9 +115,9 @@ def _ball_matrix(z: np.ndarray) -> np.ndarray:
     return ((1.0 - r2) * eye + np.outer(z, np.conj(z))) / (1.0 - r2) ** 2
 
 
-def _ball_form(z: np.ndarray, U: np.ndarray):
-    r2 = float((np.abs(z) ** 2).sum())
-    pair = U @ np.conj(z)  # sum_j u_j conj(z_j), |.| = |<u,z>|
+def _ball_form(Z: np.ndarray, U: np.ndarray):
+    r2 = (np.abs(Z) ** 2).sum(axis=-1)
+    pair = (U * np.conj(Z)).sum(axis=-1)  # sum_j u_j conj(z_j), |.| = |<u,z>|
     return ((1.0 - r2) * (np.abs(U) ** 2).sum(axis=-1) + np.abs(pair) ** 2) \
         / (1.0 - r2) ** 2
 
@@ -163,8 +170,8 @@ def _product_geometry(d: DomainDescriptor) -> Geometry:
             out[s:t, s:t] = g.matrix(z[s:t])
         return out
 
-    def form(z, U):
-        return sum(g.form(z[s:t], U[..., s:t]) for s, t, g in parts)
+    def form(Z, U):
+        return sum(g.form(Z[..., s:t], U[..., s:t]) for s, t, g in parts)
 
     def q(Z, G):
         return np.sqrt(sum(g.q(Z[:, s:t], G[:, s:t]) ** 2 for s, t, g in parts))
@@ -252,37 +259,131 @@ class PiecewisePath:
         return np.asarray(self.nodes, dtype=np.complex128)
 
 
-def _check_path_interior(d: DomainDescriptor, nodes: np.ndarray):
-    # supported domains are convex, so nodes interior => segments interior;
-    # intermediate samples guard against misuse all the same
-    for i in range(nodes.shape[0] - 1):
-        a, b = nodes[i], nodes[i + 1]
-        for t in np.linspace(0.0, 1.0, 9):
-            if not contains(d, a + t * (b - a)):
-                raise OutsideDomainError("path leaves the domain")
+# QUADPACK's qk21 rule on [-1, 1]: 21 Kronrod nodes, whose odd entries
+# (counting from 0) are the 10 Gauss nodes. Halves, outermost node first.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+
+def _gk21_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes in ascending order, Kronrod weights, and Gauss weights (zero
+    at the Kronrod-only nodes) of the full 21-point rule."""
+    def mirror(half):
+        half = np.asarray(half, dtype=float)
+        return np.concatenate([half, half[-2::-1]])
+
+    wg = np.zeros(11)
+    wg[1::2] = _WG
+    sign = np.concatenate([-np.ones(11), np.ones(10)])
+    return sign * mirror(_XGK), mirror(_WGK), mirror(wg)
+
+
+_GK_X, _GK_WK, _GK_WG = _gk21_tables()
+
+# at most this many intervals per segment, like `limit` of QUADPACK's qags
+_MAX_INTERVALS = 200
+
+# the membership guard tests every path segment at these parameters
+_GUARD_T = np.linspace(0.0, 1.0, 9)
+
+
+def _gk21(geo: Geometry, A: np.ndarray, U: np.ndarray, seg: np.ndarray,
+          lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod value and QUADPACK's qk21 error estimate of the metric
+    length of segment A[seg] + t U[seg] over t in [lo, lo + width], per
+    interval, from one evaluation of the metric form."""
+    half = 0.5 * width
+    T = (lo + half)[:, None] + half[:, None] * _GK_X
+    Useg = U[seg][:, None, :]
+    F = np.sqrt(geo.form(A[seg][:, None, :] + T[..., None] * Useg, Useg))
+    resk = F @ _GK_WK
+    resg = F @ _GK_WG
+    resasc = np.abs(F - 0.5 * resk[:, None]) @ _GK_WK * half
+    val = resk * half
+    err = np.abs(resk - resg) * half
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)
+    err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    # F >= 0, so qk21's integral of |F| is the value itself
+    return val, np.maximum(50.0 * np.finfo(float).eps * val, err)
+
+
+def _outside(geo: Geometry, Z: np.ndarray) -> np.ndarray:
+    """Per row: not strictly interior, by the margin `contains` uses."""
+    return geo.gauge(Z) >= 1.0 - EIG_MARGIN
 
 
 def path_length(d: DomainDescriptor, path: PiecewisePath) -> float:
-    """Metric length, adaptive quadrature per segment (absolute tol 1e-8)."""
-    form = geometry(d).form
+    """Metric length by adaptive Gauss-Kronrod quadrature (G10/K21) over
+    all segments at once, one evaluation of the metric form per level.
+
+    Each segment gets the error share tol = QUAD_ABS_TOL / nseg, so the
+    error estimates summed over the path stay within QUAD_ABS_TOL. An
+    interval of width w (segment parameter t in [0, 1]) is accepted when
+    its qk21 error estimate is at most tol * w. The open intervals of a
+    segment are accepted together once their estimates fit what is left
+    of its share; otherwise those above an equal part of it are bisected.
+    A segment stops splitting at 200 intervals, and its open intervals
+    then add their value plus their error estimate, which keeps the
+    result on the upper side.
+    """
+    geo = geometry(d)
     nodes = path.as_array()
-    if nodes.shape[1] != d.ambient_dim:
+    n = d.ambient_dim
+    if nodes.shape[1] != n:
         raise UsageError("path dimension mismatch")
-    _check_path_interior(d, nodes)
-    nseg = nodes.shape[0] - 1
+    A = nodes[:-1]
+    U = nodes[1:] - A
+    nseg = len(U)
+    # supported domains are convex, so nodes interior => segments interior;
+    # intermediate samples guard against misuse all the same
+    probe = A[:, None, :] + _GUARD_T[:, None] * U[:, None, :]
+    if np.any(_outside(geo, probe.reshape(-1, n))):
+        raise OutsideDomainError("path leaves the domain")
+
+    tol = QUAD_ABS_TOL / nseg
+    spent = np.zeros(nseg)  # error estimates of the accepted intervals
+    leaves = np.ones(nseg, dtype=int)
+    seg = np.flatnonzero(np.any(U, axis=1))
+    lo, width = np.zeros(len(seg)), np.ones(len(seg))
+    val, err = _gk21(geo, A, U, seg, lo, width)
     total = 0.0
-    for i in range(nseg):
-        a, b = nodes[i], nodes[i + 1]
-        u = b - a
-        if not np.any(u):
-            continue
-
-        def integrand(t):
-            return form(a + t * u, u) ** 0.5
-
-        val, _ = integrate.quad(integrand, 0.0, 1.0,
-                                epsabs=QUAD_ABS_TOL / nseg, limit=200)
-        total += val
+    while True:
+        fit = err <= tol * width
+        total += float(val[fit].sum())
+        if fit.all():
+            break
+        spent += np.bincount(seg[fit], err[fit], minlength=nseg)
+        seg, lo, width, val, err = (x[~fit] for x in (seg, lo, width, val, err))
+        budget = (tol - spent)[seg]
+        done = np.bincount(seg, err, minlength=nseg)[seg] <= budget
+        split = ~done & (err > budget / np.bincount(seg)[seg])
+        leaves += np.bincount(seg[split], minlength=nseg)
+        capped = ~done & (leaves[seg] > _MAX_INTERVALS)
+        total += float(val[done].sum() + (val + err)[capped].sum())
+        split &= ~capped
+        if not split.any():  # every open segment is done or capped
+            break
+        held = ~(done | capped | split)
+        half = 0.5 * width[split]
+        kids = (np.repeat(seg[split], 2),
+                np.stack([lo[split], lo[split] + half], axis=1).ravel(),
+                np.repeat(half, 2))
+        seg, lo, width, val, err = (
+            np.concatenate([x[held], y])
+            for x, y in zip((seg, lo, width, val, err), kids + _gk21(geo, A, U, *kids)))
     return total
 
 
@@ -293,6 +394,8 @@ def segment_from_origin(d: DomainDescriptor, z) -> PiecewisePath:
 
 def _optimize_upper(d: DomainDescriptor, z: np.ndarray, start: float) -> float:
     """Downhill-simplex tightening over 8 intermediate path nodes."""
+    from scipy import optimize  # slow to import: keep it out of `import blochkit`
+    geo = geometry(d)
     n = len(z)
     ts = np.linspace(0.0, 1.0, 10)[1:-1]
     base = ts[:, None] * z[None, :]
@@ -303,9 +406,9 @@ def _optimize_upper(d: DomainDescriptor, z: np.ndarray, start: float) -> float:
 
     def cost(x):
         nodes = to_path(x)
-        for row in nodes:
-            if not contains(d, row):
-                return start + 10.0 + float(np.max(np.abs(row)))
+        bad = _outside(geo, nodes)
+        if bad.any():
+            return start + 10.0 + float(np.max(np.abs(nodes[bad.argmax()])))
         return path_length(d, PiecewisePath(tuple(map(tuple, nodes.tolist()))))
 
     res = optimize.minimize(cost, np.zeros(16 * n), method="Nelder-Mead",

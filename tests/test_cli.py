@@ -242,7 +242,7 @@ def test_env_seed_default(capsys, monkeypatch):
 # ---------------------------------------------------------------- exit codes
 
 
-def test_exit_code_usage_error(capsys):
+def test_exit_code_usage_error(capsys, tmp_path):
     assert main(["--bogus-flag"]) == 1
     capsys.readouterr()
     assert main(["beta", "--domain", "disk"]) == 1  # missing symbol
@@ -251,6 +251,12 @@ def test_exit_code_usage_error(capsys):
     capsys.readouterr()
     assert main(["beta", "--domain", "ball:4", "--symbol", "(1+z1+z2+z3+z4)^64"]) == 1
     assert "terms" in capsys.readouterr().err
+    assert main(["beta", "--domain", "disk", "--symbol", "z1", "--samples", str(10**12)]) == 1
+    assert "memory" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"domain = ball:2\nsymbol = z1\nsamples = {10**12}\n")
+    assert main(["beta", "--config", str(cfg)]) == 1
+    assert "memory" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_domain_error(capsys):
@@ -312,6 +318,17 @@ def test_module_entry_point_subprocess():
     assert out.returncode == 0
     m = json.loads(out.stdout)
     assert m["results"][0]["value"] == pytest.approx(0.816496580927726, abs=1e-12)
+
+
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    # path lengths need no scipy quadrature, and only the path optimizer
+    # imports scipy.optimize
+    code = ("import sys, blochkit; "
+            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ))
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from blochkit import (
     ball,
@@ -16,16 +18,20 @@ from blochkit import (
     sample_interior,
     segment_from_origin,
 )
-from blochkit.domains import _METRIC_KINDS
+from blochkit.domains import EIG_MARGIN, _METRIC_KINDS, contains
 from blochkit.errors import OutsideDomainError, UnsupportedMetricError, UsageError
 from blochkit.metric import (
     _GEOMETRY,
+    QUAD_ABS_TOL,
     HermitianMetric,
     PiecewisePath,
+    _outside,
     geometry,
     metric_form,
     omega_upper_closed,
 )
+
+METRIC_DOMAINS = (disk(), ball(3), polydisk(3), product(ball(2), disk()))
 
 
 # ---------------------------------------------------------------- matrices
@@ -70,7 +76,7 @@ def test_metric_hermitian_positive_definite_sampled():
 
 def test_metric_form_matches_matrix():
     rng = np.random.default_rng(5)
-    for d in (disk(), ball(2), ball(3), polydisk(3), product(ball(2), disk())):
+    for d in (ball(2),) + METRIC_DOMAINS:
         n = d.ambient_dim
         U = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
         for z in sample_interior(d, 10, seed=9):
@@ -79,6 +85,13 @@ def test_metric_form_matches_matrix():
             for u, e in zip(U, expected):
                 assert metric_form(d, z, u) == pytest.approx(e, rel=1e-12)
             np.testing.assert_allclose(geometry(d).form(z, U), expected, rtol=1e-12)
+        # a (k, m, n) stack of points against a (k, 1, n) stack of directions
+        Z = sample_interior(d, 12, seed=10).reshape(3, 4, n)
+        H = geometry(d).form(Z, U[:3, None, :])
+        assert H.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            e = np.real(np.vdot(U[i], metric_matrix(d, Z[i, j]) @ U[i]))
+            assert H[i, j] == pytest.approx(e, rel=1e-12)
 
 
 def test_geometry_table_covers_the_metric_kinds():
@@ -147,6 +160,74 @@ def test_polydisk_segment_bounded_by_coordinate_sum():
     length = path_length(polydisk(2), seg)
     assert length <= 2 * math.atanh(0.5) + 1e-9
     assert length >= math.atanh(0.5) - 1e-9
+
+
+def _reference_length(d, nodes):
+    form = geometry(d).form
+    total = 0.0
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        u = b - a
+        val, _ = integrate.quad(lambda t: float(form(a + t * u, u)) ** 0.5, 0.0, 1.0,
+                                epsabs=1e-12, epsrel=0.0, limit=500)
+        total += val
+    return total
+
+
+@pytest.mark.parametrize("d", METRIC_DOMAINS, ids=str)
+def test_path_length_matches_reference_quadrature(d):
+    for nseg in (1, 3, 9):
+        for seed in range(4):
+            nodes = sample_interior(d, nseg + 1, seed=100 * nseg + seed)
+            got = path_length(d, PiecewisePath.through(nodes))
+            assert got == pytest.approx(_reference_length(d, nodes), abs=QUAD_ABS_TOL)
+
+
+def test_radial_lengths_near_the_boundary():
+    d = ball(2)
+    for r in (0.3, 0.9, 0.999, 1 - 1e-6, 1 - 1e-8, 1 - 1e-9):
+        length = path_length(d, segment_from_origin(d, np.array([r, 0.0])))
+        assert length == pytest.approx(math.atanh(r), abs=QUAD_ABS_TOL)
+
+
+@pytest.mark.parametrize("d", METRIC_DOMAINS, ids=str)
+def test_batched_membership_matches_contains(d):
+    rng = np.random.default_rng(12)
+    n = d.ambient_dim
+    geo = geometry(d)
+    raw = rng.standard_normal((10_000, n)) + 1j * rng.standard_normal((10_000, n))
+    unit = raw / geo.gauge(raw)[:, None]  # gauge is 1-homogeneous
+    radii = rng.uniform(0.95, 1.05, len(unit))
+    edge = 1.0 - EIG_MARGIN
+    radii[:2000] = edge + rng.choice([-1e-9, 1e-9, -1e-13, 1e-13], 2000)
+    Z = radii[:, None] * unit
+    expected = np.array([not contains(d, z) for z in Z])
+    np.testing.assert_array_equal(_outside(geo, Z), expected)
+    assert 0 < expected.sum() < len(Z)
+
+
+def test_path_with_one_node_outside_raises():
+    d = polydisk(2)
+    nodes = [(0.0, 0.0), (0.5, 0.2j), (0.3, 1.01), (0.1, 0.1)]
+    with pytest.raises(OutsideDomainError):
+        path_length(d, PiecewisePath.through(nodes))
+
+
+def test_path_length_returns_promptly_at_the_edge():
+    # a quadrature point this close to the boundary is rounded by about
+    # 1e-16 / 1e-11 of its distance from it, which limits the accuracy
+    r = 1 - 1e-11
+    start = time.perf_counter()
+    length = path_length(disk(), segment_from_origin(disk(), r))
+    assert time.perf_counter() - start < 1.0
+    assert length == pytest.approx(math.atanh(r), abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="rounding of quadrature points this close to "
+                                       "the boundary exceeds the quadrature tolerance")
+def test_path_length_stays_on_the_upper_side_at_the_edge():
+    r = 1 - 1e-11
+    length = path_length(disk(), segment_from_origin(disk(), r))
+    assert length >= math.atanh(r) - QUAD_ABS_TOL
 
 
 # ---------------------------------------------------------------- distance
