@@ -13,16 +13,14 @@ from dataclasses import dataclass
 from math import atanh, inf, sqrt
 
 import numpy as np
-from scipy.special import ndtri
 
 from .domains import (DomainDescriptor, Kind, _as_point, contains,
                       polydisk as polydisk_domain, sample_interior,
                       sample_near_distinguished_boundary)
 from .errors import (OutsideDomainError, UnsupportedMetricError, UsageError)
 from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
-                        MODE_ANALYTIC_BOUNDS, MODE_EXACT, MODE_SAMPLED_LOWER,
-                        SamplingConfig, exact)
-from .metric import (geometry, metric_matrix, rho_from_origin,
+                        MODE_SAMPLED_LOWER, SamplingConfig, exact)
+from .metric import (RHO_UPPER_PAD, geometry, metric_matrix, rho_from_origin,
                      _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
                       gradient, gradient_many, is_constant)
@@ -60,7 +58,9 @@ def q_value_via_metric(d: DomainDescriptor, f: SymbolExpr, z) -> float:
 
 
 def _sobol_unit_directions(ndirs: int, n: int, seed: int) -> np.ndarray:
-    from scipy.stats import qmc  # slow to import: keep it out of `import blochkit`
+    # slow to import: keep them out of `import blochkit`
+    from scipy.special import ndtri
+    from scipy.stats import qmc
     eng = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -235,28 +235,17 @@ def bloch_norm_estimate(d: DomainDescriptor, f: SymbolExpr,
 def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
                             npairs: int = 200, seed: int = 42) -> float:
     """Certified seminorm lower bound from difference quotients
-    |f(z) - f(w)| / rho_upper(z, w) over sampled pairs."""
-    from .metric import RHO_UPPER_PAD, PiecewisePath, path_length
+    |f(z) - f(w)| / rho(z, w) over sampled pairs."""
     _require_metric(d)
     A = sample_interior(d, npairs, seed)
     b_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(7,))
                  .generate_state(1)[0])
     B = sample_interior(d, npairs, b_seed)
-    fa = evaluate_many(f, A)
-    fb = evaluate_many(f, B)
-    best = 0.0
-    for i in range(npairs):
-        gap = abs(fa[i] - fb[i])
-        if gap == 0.0:
-            continue
-        sep = path_length(d, PiecewisePath.through(np.stack([A[i], B[i]])))
-        # the summed quadrature error is at most RHO_UPPER_PAD, so the
-        # padded length is an upper distance and the quotient a lower bound
-        sep += RHO_UPPER_PAD
-        if sep <= 1e-9:
-            continue
-        best = max(best, gap / sep)
-    return best
+    gap = np.abs(evaluate_many(f, A) - evaluate_many(f, B))
+    # the padded closed-form distance is an upper distance, so each
+    # quotient is a lower bound
+    sep = geometry(d).distance(B, A) + RHO_UPPER_PAD
+    return float(np.max(gap / sep, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +261,8 @@ def omega_exact_ball(z) -> float:
 
 
 def omega_polydisk_bounds(z) -> EstimateInterval:
-    """[max_k arctanh|z_k|, straight-segment length] on the polydisk."""
+    """Exact extremal growth on the polydisk: the l2 norm of the
+    coordinate values arctanh|z_k|."""
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     return rho_from_origin(polydisk_domain(len(z)), z)
 
@@ -361,14 +351,9 @@ def omega_empirical_lower(d: DomainDescriptor, z,
 
 
 def omega_bounds(d: DomainDescriptor, z) -> EstimateInterval:
-    """Omega interval: exact on disk/ball, where the growth is the
-    distance from the origin, the witness/segment sandwich elsewhere."""
-    z = _as_point(d, z)
-    rho = rho_from_origin(d, z)
-    if rho.mode == MODE_EXACT:
-        return rho
-    lower = omega_empirical_lower(d, z)
-    return EstimateInterval(lower, max(lower, rho.upper), MODE_ANALYTIC_BOUNDS)
+    """Extremal growth omega(z), exact on every metric domain, where it is
+    the distance rho(0, z) from the origin (see `metric`)."""
+    return rho_from_origin(d, z)
 
 
 # ---------------------------------------------------------------------------

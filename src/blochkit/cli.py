@@ -270,8 +270,7 @@ def _run_rho(opts) -> AnalysisReport:
     (pt,) = _need(opts, "point")
     z = parse_point(pt, d.ambient_dim)
     rep = _base("rho", opts, d)
-    rep.add_interval("rho", rho_from_origin(d, z, optimize_path=True),
-                     ref="distance:from-origin")
+    rep.add_interval("rho", rho_from_origin(d, z), ref="distance:from-origin")
     return rep
 
 

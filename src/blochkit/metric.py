@@ -17,18 +17,25 @@ matrix, which reduces to
     ball:          Q^2 = (1 - |z|^2) (|g|^2 - |g . z|^2)
     products:      sums of the factor Q^2
 
-The extremal growth omega(z) and the distance rho(0, z) are both at
-least arctanh of the domain's gauge (euclidean norm on disk and ball,
-largest coordinate modulus on the polydisk, largest factor gauge on
-products). On disk and ball that bound is exact: the radial segment
-integrates to arctanh|z|, the identity the omega verify suite re-checks
-numerically. On the polydisk the growth is at most sum_k arctanh|z_k|.
+The metric of a polydisk or a product is the Riemannian product of the
+disk and ball metrics of its factors (every polydisk coordinate counts as
+one disk factor), so the Bergman distance is the l2 norm of the factor
+distances:
+
+    rho(a, b) = || (arctanh |phi_{a_f}(b_f)|)_f ||_2
+
+with phi_a the Moebius automorphism of the factor exchanging a and 0. The
+extremal growth omega(z) is rho(0, z) on every metric domain:
+|f(z) - f(0)| <= beta_f rho(0, z) bounds it above, and the summed witness
+sum_f (L_f / ||L||_2) h_f, where L_f = arctanh of the factor's size and
+h_f is the factor's logarithmic witness with Q <= 1, has Q^2 <= 1 (the
+factor Q^2 add up) and reaches ||L||_2 at z.
 
 Path lengths integrate H_z(u, u*)^(1/2) along each segment with QUADPACK's
 G10/K21 Gauss-Kronrod rule, batched: each refinement level evaluates the
 metric form once over the open intervals of every segment of the path.
-The error estimates summed over a path stay within QUAD_ABS_TOL = 1e-8,
-the pad that rho uppers and Lipschitz lower bounds carry.
+The error estimates summed over a path stay within QUAD_ABS_TOL = 1e-8.
+Path lengths are an independent check of the closed-form distance.
 """
 
 from __future__ import annotations
@@ -41,12 +48,12 @@ import numpy as np
 
 from .domains import EIG_MARGIN, DomainDescriptor, Kind, contains, _as_point
 from .errors import (OutsideDomainError, UnsupportedMetricError, UsageError)
-from .estimates import (EstimateInterval, MODE_ANALYTIC_BOUNDS, exact)
+from .estimates import EstimateInterval, exact
 
 QUAD_ABS_TOL = 1e-8
 
-# reported rho uppers get padded by the quadrature tolerance so they
-# stay certified against integration error
+# pad of distances used as upper bounds (Lipschitz quotients); it covers
+# the rounding of the closed form, below 1e-12 relative
 RHO_UPPER_PAD = QUAD_ABS_TOL
 
 # the vanishing-class lower growth only uses test functions from the
@@ -58,33 +65,31 @@ _SHAVE = 1.0 - 1e-6
 @dataclass(frozen=True)
 class Geometry:
     """Bergman geometry of one metric-supported domain. `z` is a point,
-    rows of `Z` and `G` are points and gradients, and `U` is one
-    direction or rows of directions.
+    rows of `Z` and `G` are points and gradients, `U` is one direction or
+    rows of directions, and rows of `W` are the second points of pairs.
 
     matrix(z)      metric matrix M with H_z(u, u*) = u^H M u
     form(Z, U)     H_z(u, u*) without assembling M, broadcast over the
                    leading axes of points Z and directions U
     q(Z, G)        Q_f per row from the gradients of f
-    gauge(Z)       Minkowski functional; arctanh of it is a certified
-                   lower bound for both omega(z) and rho(0, z)
-    omega_upper(Z) certified upper bound for omega(z)
-    exact          arctanh(gauge) is omega(z) and rho(0, z) themselves
+    gauge(Z)       Minkowski functional; the interior is gauge < 1
+    distance(Z, W) Bergman distance rho(w, z) per row, broadcast over
+                   leading axes; W=None (the default) is the origin
     """
 
     matrix: Callable
     form: Callable
     q: Callable
     gauge: Callable
-    omega_upper: Callable
-    exact: bool
+    distance: Callable
 
-    def omega_lower(self, Z: np.ndarray, little: bool = False) -> np.ndarray:
-        """Certified lower growth per row; little=True uses only test
-        functions from the vanishing class."""
-        r = self.gauge(Z)
+    def growth(self, Z: np.ndarray, little: bool = False) -> np.ndarray:
+        """Extremal growth omega(z) = rho(0, z) per row; little=True gives
+        the certified lower growth from test functions of the vanishing
+        class alone."""
         if little:
-            return np.arctanh(_SHAVE * r) / _SHAVE
-        return np.arctanh(r)
+            return np.arctanh(_SHAVE * self.gauge(Z)) / _SHAVE
+        return self.distance(Z)
 
 
 # Per-kind formulas. `form` broadcasts over leading axes of points and
@@ -129,38 +134,74 @@ def _ball_q(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def _norm(Z: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(Z, axis=1)
+def _size(X: np.ndarray) -> np.ndarray:
+    """Euclidean size over the last axis, summed as np.linalg.norm sums
+    it, so that distances from the origin are arctanh(np.linalg.norm(z))
+    to the bit. Rows below 2^-450, whose squares would underflow, are
+    summed scaled by 2^600, which is exact."""
+    r = np.sqrt((X.conj() * X).real.sum(axis=-1))
+    if r.min(initial=1.0) < 2.0 ** -450:
+        tiny = r < 2.0 ** -450
+        Y = X[tiny] * 2.0 ** 600
+        r[tiny] = np.sqrt((Y.conj() * Y).real.sum(axis=-1)) * 2.0 ** -600
+    return r
+
+
+def _ball_distance(Z: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+    """arctanh |phi_w(z)| over the last axis (the disk is one column);
+    W=None is the origin, where phi_0(z) = -z. With delta = z - w and
+    c_x = 1 - |x|^2 (Rudin, Function Theory in the Unit Ball of C^n,
+    Thm 2.2.2):
+
+        |phi_w(z)|^2     = (c_w |delta|^2 + |<delta,w>|^2) / |c_w - <delta,w>|^2
+        1 - |phi_w(z)|^2 = c_w c_z / |c_w - <delta,w>|^2
+
+    Neither form cancels. The first keeps close pairs and points near the
+    origin to full relative precision. Where |phi| > 1/2, the second gives
+    arctanh through 1 - |phi|, which rounding |phi| near 1 would lose.
+    c_x = (1 - |x|)(1 + |x|) is exact on the axes.
+    """
+    if W is None:
+        return np.arctanh(_size(Z))
+    delta = Z - W
+    rw, rz = _size(W), _size(Z)
+    cw, cz = (1.0 - rw) * (1.0 + rw), (1.0 - rz) * (1.0 + rz)
+    pair = (delta * W.conj()).sum(axis=-1)
+    den = np.abs(cw - pair)
+    t = np.hypot(np.sqrt(cw) * _size(delta), np.abs(pair)) / den
+    far = t > 0.5
+    return np.where(far, 0.5 * np.log1p(2.0 * t * (1.0 + t) * den ** 2 / (cw * cz)),
+                    np.arctanh(np.where(far, 0.0, t)))
+
+
+def _coord_distance(Z: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+    # one disk factor per coordinate; from the origin, arctanh of the
+    # moduli the gauge takes
+    if W is None:
+        L = np.arctanh(np.abs(Z))
+    else:
+        L = _ball_distance(Z[..., None], W[..., None])
+    return np.hypot.reduce(L, axis=-1)
 
 
 def _max_modulus(Z: np.ndarray) -> np.ndarray:
     return np.max(np.abs(Z), axis=1)
 
 
-def _radial_growth(Z: np.ndarray) -> np.ndarray:
-    return np.arctanh(_norm(Z))
-
-
-def _coordinate_growth_sum(Z: np.ndarray) -> np.ndarray:
-    return np.sum(np.arctanh(np.abs(Z)), axis=1)
-
-
 _GEOMETRY = {
-    Kind.DISK: Geometry(_coord_matrix, _coord_form, _coord_q,
-                        _norm, _radial_growth, exact=True),
-    Kind.BALL: Geometry(_ball_matrix, _ball_form, _ball_q,
-                        _norm, _radial_growth, exact=True),
-    Kind.POLYDISK: Geometry(_coord_matrix, _coord_form, _coord_q,
-                            _max_modulus, _coordinate_growth_sum, exact=False),
+    Kind.DISK: Geometry(_coord_matrix, _coord_form, _coord_q, _size, _ball_distance),
+    Kind.BALL: Geometry(_ball_matrix, _ball_form, _ball_q, _size, _ball_distance),
+    Kind.POLYDISK: Geometry(_coord_matrix, _coord_form, _coord_q, _max_modulus,
+                            _coord_distance),
 }
 
 
 @lru_cache(maxsize=64)
 def _product_geometry(d: DomainDescriptor) -> Geometry:
     """Block composition: the metric is block diagonal, forms and Q^2 add
-    up over factors, and so do the growth uppers. Projections onto the
-    factors decrease the metric and the Bloch norm, so the largest factor
-    gauge gives the lower bounds."""
+    up over factors, and so do squared distances (summed by hypot, which
+    does not underflow). A point is interior when every factor is, so the
+    gauge is the largest factor gauge."""
     parts = [(s, t, geometry(f)) for s, t, f in d.factor_slices()]
     n = d.ambient_dim
 
@@ -179,10 +220,12 @@ def _product_geometry(d: DomainDescriptor) -> Geometry:
     def gauge(Z):
         return np.max(np.stack([g.gauge(Z[:, s:t]) for s, t, g in parts]), axis=0)
 
-    def omega_upper(Z):
-        return sum(g.omega_upper(Z[:, s:t]) for s, t, g in parts)
+    def distance(Z, W=None):
+        return np.hypot.reduce(np.stack(
+            [g.distance(Z[..., s:t], None if W is None else W[..., s:t])
+             for s, t, g in parts], axis=-1), axis=-1)
 
-    return Geometry(matrix, form, q, gauge, omega_upper, exact=False)
+    return Geometry(matrix, form, q, gauge, distance)
 
 
 def _require_metric(d: DomainDescriptor):
@@ -392,54 +435,13 @@ def segment_from_origin(d: DomainDescriptor, z) -> PiecewisePath:
     return PiecewisePath.through(np.stack([np.zeros_like(z), z]))
 
 
-def _optimize_upper(d: DomainDescriptor, z: np.ndarray, start: float) -> float:
-    """Downhill-simplex tightening over 8 intermediate path nodes."""
-    from scipy import optimize  # slow to import: keep it out of `import blochkit`
-    geo = geometry(d)
-    n = len(z)
-    ts = np.linspace(0.0, 1.0, 10)[1:-1]
-    base = ts[:, None] * z[None, :]
-
-    def to_path(x):
-        mid = base + (x[: 8 * n] + 1j * x[8 * n:]).reshape(8, n)
-        return np.vstack([np.zeros(n), mid, z])
-
-    def cost(x):
-        nodes = to_path(x)
-        bad = _outside(geo, nodes)
-        if bad.any():
-            return start + 10.0 + float(np.max(np.abs(nodes[bad.argmax()])))
-        return path_length(d, PiecewisePath(tuple(map(tuple, nodes.tolist()))))
-
-    res = optimize.minimize(cost, np.zeros(16 * n), method="Nelder-Mead",
-                            options={"maxiter": 200, "xatol": 1e-4,
-                                     "fatol": 1e-7, "adaptive": False})
-    return min(start, float(res.fun))
-
-
 def rho_from_origin(d: DomainDescriptor, z, optimize_path: bool = False) -> EstimateInterval:
-    """Metric distance from the origin.
-
-    Disk and ball: exact arctanh of the euclidean size. Polydisk and
-    products: interval [arctanh of the gauge, straight-segment length +
-    quadrature pad], optionally tightened by path optimization.
-    """
+    """Metric distance from the origin, exact on every metric domain: the
+    l2 norm over the factors of arctanh of the factor's size (euclidean
+    norm of a ball factor, modulus of a polydisk coordinate).
+    `optimize_path` is accepted and ignored: the value is already the
+    shortest length over all paths."""
     g = geometry(d)
     z = _as_point(d, z)
     _require_interior(d, z)
-    lower = float(g.omega_lower(z.reshape(1, -1))[0])
-    if g.exact:
-        return exact(lower)
-    upper = path_length(d, segment_from_origin(d, z))
-    if optimize_path:
-        upper = _optimize_upper(d, z, upper)
-    upper = max(upper + RHO_UPPER_PAD, lower)
-    return EstimateInterval(lower, upper, MODE_ANALYTIC_BOUNDS)
-
-
-def omega_upper_closed(d: DomainDescriptor, z) -> float:
-    """Closed-form upper bound for the extremal growth omega(z):
-    arctanh on disk/ball (exact), coordinate arctanh sum on the
-    polydisk, factor sums on products."""
-    z = _as_point(d, z)
-    return float(geometry(d).omega_upper(z.reshape(1, -1))[0])
+    return exact(float(g.growth(z.reshape(1, -1))[0]))

@@ -21,17 +21,16 @@ from functools import cache
 from math import atanh, inf, isinf
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .bloch import (AGAINST, _golden_max, _sup_estimate, beta_estimate,
                     beta_upper_poly, bloch_norm_estimate,
                     little_star_membership_diagnostic, q_value, q_values)
 from .constants import in_class_D, resolved_constant
-from .domains import (DomainDescriptor, sample_interior,
+from .domains import (DomainDescriptor, Kind, sample_interior,
                       sample_near_distinguished_boundary)
 from .errors import UsageError
-from .estimates import (EstimateInterval, MODE_ANALYTIC_BOUNDS,
-                        MODE_SAMPLED_LOWER, SamplingConfig, exact)
+from .estimates import (EstimateInterval, MODE_SAMPLED_LOWER, SamplingConfig,
+                        exact)
 from .metric import _require_metric, geometry
 from .symbols import (Polynomial, SymbolExpr, combine, constant, evaluate,
                       evaluate_many, is_constant, supnorm_upper)
@@ -60,13 +59,13 @@ def sigma_upper_poly(d: DomainDescriptor, psi: Polynomial) -> float:
 
     Disk and ball only: Q <= sqrt(1 - |z|^2) * G with G the gradient
     coefficient bound, and arctanh(r) sqrt(1 - r^2) peaks below 0.6628.
-    On polydisks and products the weight is genuinely infinite for most
-    polynomials (growth in one factor, nonvanishing Q in another), so
-    no finite ceiling is returned there.
+    Elsewhere (polydisks and products) it is +inf: there the weight is
+    infinite for most polynomials, since the growth blows up in one
+    factor while Q stays away from zero in another.
     """
     if not isinstance(psi, Polynomial):
         raise UsageError("polynomial ceiling needs a polynomial symbol")
-    if d.metric_supported and geometry(d).exact:
+    if d.kind in (Kind.DISK, Kind.BALL):
         return _radial_peak() * beta_upper_poly(psi)
     return inf
 
@@ -75,14 +74,12 @@ def sigma_estimate(d: DomainDescriptor, psi: SymbolExpr,
                    cfg: SamplingConfig = SamplingConfig(),
                    which: str = "sigma") -> EstimateInterval:
     """Boundary-weight estimate sup_z omega(z) Q_psi(z); which="sigma0"
-    replaces omega by the vanishing-class growth.
+    replaces omega by the certified vanishing-class lower growth.
 
-    The lower end runs the sampled sup against the certified lower
-    growth envelope, so it is a true lower bound even where omega is
-    only bracketed. Disk/ball (growth exact there): upper end is the
-    polynomial ceiling when available, +inf otherwise. Polydisk and
-    products: the interval brackets the weight between the sampled
-    sups of the two envelopes.
+    The lower end is the sampled sup of the exact growth (or of the
+    vanishing-class growth) times Q, a true lower bound. The upper end is
+    the polynomial ceiling `sigma_upper_poly`, finite on disk and ball
+    only, and +inf everywhere else.
     """
     if which not in ("sigma", "sigma0"):
         raise UsageError("which must be 'sigma' or 'sigma0'")
@@ -91,21 +88,14 @@ def sigma_estimate(d: DomainDescriptor, psi: SymbolExpr,
         return exact(0.0)
     little = which == "sigma0"
 
-    def weighted_sup(omega):
-        return _sup_estimate(
-            d, lambda Z: q_values(d, psi, Z) * omega(Z),
-            lambda z: q_value(d, psi, z) * float(omega(z.reshape(1, -1))[0]),
-            cfg)
-
-    lower, argmax, ns = weighted_sup(lambda Z: geo.omega_lower(Z, little))
-    if geo.exact:
-        upper, mode = inf, MODE_SAMPLED_LOWER
-        if isinstance(psi, Polynomial):
-            upper = max(sigma_upper_poly(d, psi), lower)
-    else:
-        hi, _, _ = weighted_sup(geo.omega_upper)
-        upper, mode = max(hi, lower), MODE_ANALYTIC_BOUNDS
-    return EstimateInterval(lower, upper, mode, ns, cfg.seed,
+    lower, argmax, ns = _sup_estimate(
+        d, lambda Z: q_values(d, psi, Z) * geo.growth(Z, little),
+        lambda z: q_value(d, psi, z) * float(geo.growth(z.reshape(1, -1), little)[0]),
+        cfg)
+    upper = inf
+    if isinstance(psi, Polynomial):
+        upper = max(sigma_upper_poly(d, psi), lower)
+    return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
                             argmax=tuple(argmax.tolist()))
 
 
@@ -148,7 +138,7 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
                         eps_ladder: tuple[float, ...] = DEFAULT_BOUNDARY_EPS,
                         space: str = "B") -> BoundednessReport:
     """Heuristic verdict from shell maxima of the criterion quantity
-    omega_lower * Q toward the distinguished boundary.
+    omega * Q toward the distinguished boundary.
 
     bounded-evidence when the last two shells agree within 5% or the
     maxima never increase (decay is stronger evidence than a plateau);
@@ -172,7 +162,7 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
     maxima = []
     for e in eps:
         Z = sample_near_distinguished_boundary(d, count, e, cfg.seed)
-        maxima.append(float(np.max(q_values(d, psi, Z) * geo.omega_lower(Z, little))))
+        maxima.append(float(np.max(q_values(d, psi, Z) * geo.growth(Z, little))))
     m = tuple(maxima)
     if space == "B0*":
         _, diag = little_star_membership_diagnostic(d, psi, cfg=cfg)
@@ -326,6 +316,8 @@ def spectrum_cloud(d: DomainDescriptor, psi: SymbolExpr,
             float(xy[:, 1].min()), float(xy[:, 1].max()))
     spread = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
     singleton = spread <= 1e-12
+    # slow to import: keep it out of `import blochkit`
+    from scipy.spatial import ConvexHull, QhullError
     try:
         hull = ConvexHull(xy)
         area = float(hull.volume)  # 2-d: volume is the area

@@ -55,7 +55,7 @@ def probe_omega_vs_rho(d: DomainDescriptor, cfg: SamplingConfig,
     Z = sample_interior(d, npoints, cfg.seed, cfg.shells)
     for i in range(npoints):
         z = Z[i]
-        est = rho_from_origin(d, z, optimize_path=True)
+        est = rho_from_origin(d, z)
         rep.results.append(ResultRow(
             name=f"z{i}={_fmt_point(z)}",
             value=omega_empirical_lower(d, z, cfg),

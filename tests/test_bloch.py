@@ -12,6 +12,7 @@ from blochkit import (
     constant,
     coordinate,
     disk,
+    evaluate,
     lipschitz_beta_estimate,
     little_star_membership_diagnostic,
     omega_bounds,
@@ -20,15 +21,18 @@ from blochkit import (
     omega_polydisk_bounds,
     parse_symbol,
     polydisk,
+    product,
     q_value,
     q_value_oracle,
     q_value_via_metric,
     q_values,
+    rho_from_origin,
     sample_interior,
 )
 from blochkit.bloch import AGAINST, CONSISTENT
+from blochkit.estimates import SamplingConfig
 from blochkit.errors import OutsideDomainError, UsageError
-from blochkit.symbols import LogFrac
+from blochkit.symbols import LogFrac, format_complex
 
 from conftest import mkpoly
 
@@ -182,8 +186,8 @@ def test_lipschitz_estimate(fast_cfg):
     assert lipschitz_beta_estimate(disk(), constant(1.0, 1)) == pytest.approx(0.0, abs=1e-15)
     v = lipschitz_beta_estimate(disk(), coordinate(1, 1), npairs=200, seed=42)
     assert 0.95 <= v <= 1.0 + 1e-9
-    # each path length is padded by RHO_UPPER_PAD = 1e-8
-    assert v == pytest.approx(0.9977584207802231, rel=1e-9)
+    # each closed-form distance is padded by RHO_UPPER_PAD = 1e-8
+    assert v == pytest.approx(0.997760734657811, rel=1e-9)
 
 
 def test_lipschitz_bounded_by_coefficient_certificate():
@@ -220,9 +224,30 @@ def test_omega_polydisk_bounds_axis_point():
 
 def test_omega_polydisk_bounds_diagonal():
     est = omega_polydisk_bounds((0.5, 0.5))
-    assert est.lower == pytest.approx(ATANH_HALF, abs=1e-12)
-    assert est.upper == pytest.approx(0.7768362092120933, rel=1e-9)
+    assert est.lower == est.upper == pytest.approx(math.sqrt(2) * ATANH_HALF, rel=1e-12)
     assert est.upper <= 2 * ATANH_HALF + 1e-9
+
+
+@pytest.mark.parametrize("d, z, value", [
+    (polydisk(3), (0.7 + 0.2j, -0.5j, 0.3), 1.1190206383140673),
+    # log-fractions act on one coordinate, so the ball factor's part lies
+    # on its first axis; the ball is rotation invariant
+    (product(ball(2), disk()), (0.6 - 0.3j, 0.0, -0.4 + 0.5j), 1.1114644652268604),
+], ids=["polydisk:3", "product(ball:2,disk)"])
+def test_summed_witness_reaches_the_closed_form(d, z, value):
+    # w = sum_f (L_f / ||L||_2) h_f with L_f = arctanh of the factor's size:
+    # w(z) = ||L||_2 and Q_w <= 1, so omega(z) >= ||L||_2 = rho(0, z)
+    z = np.asarray(z, dtype=complex)
+    factors = [k for k, c in enumerate(z) if c != 0]
+    L = np.array([math.atanh(abs(z[k])) for k in factors])
+    weights = L / np.linalg.norm(L)
+    text = " + ".join(f"{float(w)!r}*h({k + 1},{format_complex(z[k])})"
+                      for w, k in zip(weights, factors))
+    w = parse_symbol(text, d.ambient_dim)
+    rho = rho_from_origin(d, z)
+    assert rho.lower == pytest.approx(value, rel=1e-15)
+    assert abs(evaluate(w, z) - rho.lower) <= 1e-12
+    assert beta_estimate(d, w, SamplingConfig(samples=20000)).lower <= 1 + 1e-9
 
 
 def test_omega_empirical_lower_center_and_witnesses(fast_cfg):

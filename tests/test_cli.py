@@ -321,10 +321,10 @@ def test_module_entry_point_subprocess():
 
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():
-    # path lengths need no scipy quadrature, and only the path optimizer
-    # imports scipy.optimize
-    code = ("import sys, blochkit; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    # blochkit uses neither scipy.optimize nor scipy.integrate, and only
+    # spectrum_cloud's convex hull imports scipy.spatial
+    code = ("import sys, blochkit; print([m for m in "
+            "('scipy.optimize', 'scipy.integrate', 'scipy.spatial') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ))
     assert out.returncode == 0, out.stderr[-2000:]
@@ -332,9 +332,11 @@ def test_import_leaves_scipy_optimize_and_integrate_unloaded():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the direction oracle needs it
-    code = "import sys, blochkit; print('scipy.stats' in sys.modules)"
+    # scipy.stats and scipy.special are slow to import, and only the
+    # direction oracle needs them
+    code = ("import sys, blochkit; "
+            "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ))
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

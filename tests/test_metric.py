@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -28,7 +29,6 @@ from blochkit.metric import (
     _outside,
     geometry,
     metric_form,
-    omega_upper_closed,
 )
 
 METRIC_DOMAINS = (disk(), ball(3), polydisk(3), product(ball(2), disk()))
@@ -243,10 +243,8 @@ def test_rho_exact_on_disk_and_ball():
 
 def test_rho_interval_on_polydisk():
     est = rho_from_origin(polydisk(2), (0.5, 0.5))
-    assert est.mode == "analytic-bounds"
-    assert est.lower == pytest.approx(math.atanh(0.5), abs=1e-12)
-    assert est.lower <= est.upper
-    assert est.upper <= 2 * math.atanh(0.5) + 1e-9
+    assert est.mode == "exact"
+    assert est.lower == est.upper == pytest.approx(math.sqrt(2) * math.atanh(0.5), rel=1e-12)
 
 
 def test_rho_axis_point_interval_is_tight():
@@ -262,16 +260,78 @@ def test_rho_path_optimization_never_increases_upper():
     assert opt.lower == pytest.approx(base.lower, abs=1e-12)
 
 
-# ---------------------------------------------------------------- closed upper bounds
+# ---------------------------------------------------------------- closed-form distance
+
+def _blocks(d):
+    """Column ranges of the disk and ball factors, one per polydisk coordinate."""
+    for s, t, f in d.factor_slices():
+        yield from ([(k, k + 1) for k in range(s, t)] if f.kind.value == "polydisk"
+                    else [(s, t)])
 
 
-def test_omega_upper_closed():
-    assert omega_upper_closed(disk(), 0.7) == pytest.approx(math.atanh(0.7), abs=1e-12)
-    assert omega_upper_closed(ball(2), (0.3, 0.4)) == pytest.approx(math.atanh(0.5), abs=1e-12)
-    assert omega_upper_closed(polydisk(2), (0.5, 0.5)) == pytest.approx(
-        2 * math.atanh(0.5), abs=1e-12
-    )
-    d = product(ball(2), disk())
-    z = np.array([0.3, 0.4, 0.25], dtype=complex)
-    expected = math.atanh(0.5) + math.atanh(0.25)
-    assert omega_upper_closed(d, z) == pytest.approx(expected, abs=1e-12)
+def _mp_distance(d, a, b):
+    """Bergman distance from the float inputs: l2 over the factors of
+    arctanh of the Moebius pseudo-distance, with 1 - |phi_a(b)|^2 from
+    Rudin's identity. 2000-bit arithmetic keeps 200 bits after its
+    cancellation down to |phi|^2 of about 1e-540."""
+    with mpmath.workprec(2000):
+        total = mpmath.mpf(0)
+        for i, j in _blocks(d):
+            x = [mpmath.mpc(complex(c)) for c in a[i:j]]
+            y = [mpmath.mpc(complex(c)) for c in b[i:j]]
+            xx = mpmath.fsum(abs(c) ** 2 for c in x)
+            yy = mpmath.fsum(abs(c) ** 2 for c in y)
+            yx = mpmath.fsum(p * mpmath.conj(q) for p, q in zip(y, x))
+            phi2 = 1 - (1 - xx) * (1 - yy) / abs(1 - yx) ** 2
+            total += mpmath.atanh(mpmath.sqrt(phi2)) ** 2
+        return mpmath.sqrt(total)
+
+
+def _factor_points(d, rng, count, radius):
+    """Rows with every factor (every polydisk coordinate) of euclidean size
+    uniform in [0, radius] and the size `radius` itself in the first row."""
+    Z = np.zeros((count, d.ambient_dim), dtype=complex)
+    for i, j in _blocks(d):
+        u = rng.standard_normal((count, j - i)) + 1j * rng.standard_normal((count, j - i))
+        r = rng.uniform(0.0, radius, count)
+        r[0] = radius
+        Z[:, i:j] = r[:, None] * u / np.linalg.norm(u, axis=1, keepdims=True)
+    return Z
+
+
+@pytest.mark.parametrize("d", METRIC_DOMAINS, ids=str)
+def test_distance_matches_mpmath(d):
+    rng = np.random.default_rng(5)
+    n = d.ambient_dim
+    A = _factor_points(d, rng, 40, 0.9995)
+    B = _factor_points(d, rng, 40, 0.9995)
+    near = A[:20] + 1e-9 * (rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))) / 2
+    edge = np.zeros(n, dtype=complex)
+    edge[0] = 1 - 1e-11
+    half = np.zeros(n, dtype=complex)
+    half[0] = -0.5
+    pairs = ([(a, b) for a, b in zip(A, B)]  # factor sizes up to 0.9995
+             + [(a, b) for a, b in zip(A[:20], near)]  # pairs about 1e-9 apart
+             + [(np.zeros(n), b) for b in B[:20]]  # from the origin
+             + [(np.zeros(n), 1e-200 * b) for b in B[1:6]]  # |z|^2 would underflow
+             + [(np.zeros(n), edge), (half, edge), (edge, half)])
+    geo = geometry(d)
+    for a, b in pairs:
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        assert contains(d, a) and contains(d, b)
+        ref = _mp_distance(d, a, b)
+        got = [float(geo.distance(b.reshape(1, -1), a.reshape(1, -1))[0])]
+        if not a.any():
+            got.append(float(geo.distance(b.reshape(1, -1))[0]))
+        for value in got:
+            assert abs(value - ref) <= 1e-12 * ref, (a, b, value, ref)
+
+
+def test_distance_from_origin_is_arctanh_of_the_norm_on_disk_and_ball():
+    # growth is distance(0, .), and on disk and ball it keeps the bits of
+    # arctanh(np.linalg.norm(z))
+    for d in (disk(), ball(2), ball(5)):
+        Z = sample_interior(d, 5000, seed=3)
+        expected = np.arctanh(np.linalg.norm(Z, axis=1))
+        np.testing.assert_array_equal(geometry(d).growth(Z).view(np.uint64),
+                                      expected.view(np.uint64))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blochkit import (
+    SamplingConfig,
     ball,
     boundedness_verdict,
     cartan1,
@@ -18,6 +19,7 @@ from blochkit import (
     norm_bounds,
     operator_report,
     polydisk,
+    q_value,
     sample_interior,
     sigma_estimate,
     sigma_upper_poly,
@@ -69,10 +71,17 @@ def test_sigma_upper_poly_values():
         sigma_upper_poly(disk(), parse_symbol("fw(1,0.5)", 1))
 
 
-def test_sigma_polydisk_analytic_bounds(fast_cfg):
-    est = sigma_estimate(polydisk(2), coordinate(1, 2), fast_cfg)
-    assert est.mode == "analytic-bounds"
-    assert 0 < est.lower <= est.upper < math.inf
+def test_sigma_polydisk_upper_covers_the_weight_near_the_boundary():
+    # omega * Q for psi = z1 at (0, 0.999999) is arctanh(0.999999) * 1 = 7.25,
+    # and it grows without bound toward (0, 1); no finite upper is certified
+    d, psi = polydisk(2), coordinate(1, 2)
+    cfg = SamplingConfig(samples=2000, refine_restarts=0)
+    near_boundary = math.atanh(0.999999) * q_value(d, psi, (0.0, 0.999999))
+    est = sigma_estimate(d, psi, cfg)
+    nb = norm_bounds(d, psi, cfg)
+    assert 0 < est.lower
+    assert est.upper >= near_boundary and nb.upper >= near_boundary
+    assert math.isinf(est.upper) and math.isinf(nb.upper)
 
 
 def test_sigma0_below_sigma(fast_cfg):

@@ -15,6 +15,9 @@ from blochkit import (
     constant,
     disk,
     evaluate,
+    lipschitz_beta_estimate,
+    norm_bounds,
+    omega_bounds,
     omega_empirical_lower,
     parse_domain,
     polydisk,
@@ -24,10 +27,11 @@ from blochkit import (
     rho_from_origin,
     sample_interior,
     sigma_estimate,
+    sigma_upper_poly,
     spectrum_cloud,
     supnorm_estimate,
 )
-from blochkit.metric import RHO_UPPER_PAD, geometry
+from blochkit.metric import geometry
 from blochkit.symbols import format_complex, parse_symbol
 
 from conftest import mkpoly
@@ -113,17 +117,70 @@ unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infi
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_growth_sandwich(k, raw, radius):
     d = GROWTH_DOMAINS[k]
+    z = _point(d, raw, radius)
+    # arctanh of every factor's size, each polydisk coordinate one factor
+    L = []
+    for s, t, f in d.factor_slices():
+        sizes = np.abs(z[s:t]) if f.kind.value == "polydisk" else [np.linalg.norm(z[s:t])]
+        L += [math.atanh(float(r)) for r in sizes]
+    rho = rho_from_origin(d, z)
+    witness = omega_empirical_lower(d, z)
+    assert rho.lower == rho.upper == pytest.approx(math.hypot(*L), rel=1e-12)
+    assert max(L) <= witness + 1e-9
+    assert witness <= rho.upper + 1e-9
+    assert float(geometry(d).growth(z.reshape(1, -1), little=True)[0]) <= rho.lower
+
+
+def _point(d, raw, radius):
+    """The first coordinates of `raw`, each factor scaled to size at most
+    `radius`."""
     z = np.asarray(raw[: d.ambient_dim], dtype=complex)
     for s, t, _ in d.factor_slices():
         z[s:t] *= radius / max(1.0, float(np.linalg.norm(z[s:t])))
-    geo, Z = geometry(d), z.reshape(1, -1)
-    lower = float(geo.omega_lower(Z)[0])
-    witness = omega_empirical_lower(d, z)
-    rho_upper = rho_from_origin(d, z).upper
-    assert lower <= witness + 1e-9
-    assert witness <= rho_upper + 1e-9
-    assert rho_upper <= float(geo.omega_upper(Z)[0]) + RHO_UPPER_PAD
-    assert float(geo.omega_lower(Z, little=True)[0]) <= lower
+    return z
+
+
+def _cert_poly(n, coeffs):
+    first, last = np.eye(n, dtype=int)[0], np.eye(n, dtype=int)[-1]
+    exps = (first, 2 * last, first + last + (n == 1) * first)
+    return mkpoly(n, {tuple(int(x) for x in e): c for e, c in zip(exps, coeffs)})
+
+
+LIGHT = SamplingConfig(samples=500, seed=3, refine_restarts=0)
+HEAVY = SamplingConfig(samples=8000, seed=19, refine_restarts=3, refine_iters=30)
+
+
+@given(k=st.integers(0, len(GROWTH_DOMAINS) - 1),
+       coeffs=st.lists(coeff, min_size=3, max_size=3),
+       raw=st.lists(unit_complex, min_size=3, max_size=3),
+       radius=st.floats(0.0, 0.9999))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_certified_uppers_hold_against_heavy_sampling(k, coeffs, raw, radius):
+    # every finite upper end must bound what heavier sampling with
+    # refinement finds; tolerances cover rounding only
+    d = GROWTH_DOMAINS[k]
+    psi = _cert_poly(d.ambient_dim, coeffs)
+    cert = beta_upper_poly(psi)
+    beta = beta_estimate(d, psi, HEAVY).lower
+    assert beta <= cert + 1e-9
+    assert lipschitz_beta_estimate(d, psi) <= cert + 1e-9
+
+    sigma = sigma_estimate(d, psi, LIGHT)
+    sigma_heavy = sigma_estimate(d, psi, HEAVY).lower
+    assert sigma_heavy <= sigma.upper + 1e-9
+    assert sigma_heavy <= sigma_upper_poly(d, psi) + 1e-9
+
+    nb = norm_bounds(d, psi, LIGHT)
+    origin = abs(evaluate(psi, np.zeros(d.ambient_dim)))
+    assert origin + beta <= nb.upper + 1e-9
+    assert supnorm_estimate(d, psi, HEAVY).lower <= nb.upper + 1e-9
+
+    z = _point(d, raw, radius)
+    for est in (rho_from_origin(d, z), omega_bounds(d, z)):
+        # |psi(z) - psi(0)| <= beta_psi rho(0, z), and the witnesses bound omega
+        assert abs(evaluate(psi, z) - evaluate(psi, np.zeros_like(z))) <= (
+            cert * est.upper * (1 + 1e-12) + 1e-12)
+        assert omega_empirical_lower(d, z) <= est.upper * (1 + 1e-12) + 1e-12
 
 
 def test_parse_round_trip_registry():
