@@ -6,7 +6,7 @@ coefficient, multiply in its factors z_j^p (p != 0) in ascending j and
 add the terms onto zero in order, so their results are bit-identical:
 
 - the power table, for calls with at most TABLE_MAX_POINTS points such
-  as the single-point refinement steps, computes z_j^k once and gathers
+  as the batched refinement steps, computes z_j^k once and gathers
   every term's factors from it in a few array operations;
 - the term loop, for large sample batches, amortizes its per-term
   overhead over the points.

@@ -4,12 +4,18 @@ and norm estimators, extremal growth bounds, and decay diagnostics.
 Q_f(z) is the supremum over nonzero directions u of
 |grad f(z) . u| / H_z(u, u*)^(1/2); its closed forms live in the
 geometry table of `metric`.
+
+A sampled supremum (`_sup_estimate`) is the max of a batched objective
+over stratified samples, raised by golden-section line searches from the
+best samples. The restarts search in lockstep, each line cut to its
+closed-form chord: one batched gauge check and objective call per step.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import atanh, inf, sqrt
 
 import numpy as np
@@ -21,7 +27,7 @@ from .errors import (OutsideDomainError, UnsupportedMetricError, UsageError)
 from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
                         MODE_SAMPLED_LOWER, SamplingConfig, exact)
 from .metric import (RHO_UPPER_PAD, geometry, metric_matrix, rho_from_origin,
-                     _require_metric)
+                     _outside, _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
                       gradient, gradient_many, is_constant)
 
@@ -57,23 +63,24 @@ def q_value_via_metric(d: DomainDescriptor, f: SymbolExpr, z) -> float:
     return sqrt(max(float(np.real(np.vdot(g, x))), 0.0))
 
 
-def _sobol_unit_directions(ndirs: int, n: int, seed: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _sobol_directions(ndirs: int, n: int) -> np.ndarray:
+    """Unit directions in C^n from one scrambled Sobol set, built once per
+    (ndirs, n) and read-only."""
     # slow to import: keep them out of `import blochkit`
     from scipy.special import ndtri
     from scipy.stats import qmc
-    eng = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
+    eng = qmc.Sobol(d=2 * n, scramble=True, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         x = eng.random(ndirs)
     tiny = 2.0 ** -53
     g = ndtri(np.clip(x, tiny, 1.0 - tiny))
     u = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(u, axis=1)
-    bad = norms == 0
-    if np.any(bad):
-        u[bad, 0] = 1.0
-        norms[bad] = 1.0
-    return u / norms[:, None]
+    u[~u.any(axis=1), 0] = 1.0  # a point of all halves gives a zero row
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    u.flags.writeable = False
+    return u
 
 
 def q_value_oracle(d: DomainDescriptor, f: SymbolExpr, z, ndirs: int = 4096,
@@ -89,12 +96,15 @@ def q_value_oracle(d: DomainDescriptor, f: SymbolExpr, z, ndirs: int = 4096,
     g = gradient(f, z)
     if not np.any(g):
         return 0.0
-    geo = geometry(d)
-    U = _sobol_unit_directions(ndirs, len(z), seed)
-    ustar = np.linalg.solve(geo.matrix(z), np.conj(g))
-    nrm = np.linalg.norm(ustar)
-    if nrm > 0:
-        U = np.vstack([U, ustar / nrm])
+    geo, n = geometry(d), len(z)
+    # the cached set turned by a seeded Haar unitary: Q of a complex
+    # Gaussian's QR, its columns times the phases of R's diagonal
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    phases = np.diagonal(R) / np.abs(np.diagonal(R))
+    ustar = np.linalg.solve(geo.matrix(z), np.conj(g))  # nonzero, as g is
+    U = np.vstack([_sobol_directions(ndirs, n) @ (Q * phases).T,
+                   ustar / np.linalg.norm(ustar)])
     num = np.abs(U @ g)
     den = np.sqrt(geo.form(z, U))
     return float(np.max(num / den))
@@ -117,29 +127,6 @@ def beta_upper_poly(f: Polynomial) -> float:
     return float(np.linalg.norm(cols))
 
 
-def _line_interval(d: DomainDescriptor, z: np.ndarray, e: np.ndarray,
-                   step: float = 0.25, iters: int = 40) -> tuple[float, float]:
-    # feasible t-range of z + t e inside the (convex) domain, by bisection
-    def inside(t: float) -> bool:
-        return contains(d, z + t * e)
-
-    def edge(sign: float) -> float:
-        t_in, t_out = 0.0, sign * step
-        while inside(t_out):
-            t_in, t_out = t_out, t_out * 2.0
-            if abs(t_out) > 8.0:
-                break
-        for _ in range(iters):
-            mid = 0.5 * (t_in + t_out)
-            if inside(mid):
-                t_in = mid
-            else:
-                t_out = mid
-        return t_in
-
-    return edge(-1.0), edge(1.0)
-
-
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
@@ -160,38 +147,68 @@ def _golden_max(fun, lo: float, hi: float, iters: int) -> tuple[float, float]:
     return (c, fc) if fc >= fe else (e, fe)
 
 
-def _refine_max(d: DomainDescriptor, objective, z0: np.ndarray,
-                iters: int) -> tuple[float, np.ndarray]:
-    """One coordinatewise golden-section pass over 2n real coordinates."""
-    z = z0.copy()
-    best = objective(z)
-    n = len(z)
+def _refine_max(d: DomainDescriptor, objective, Z0: np.ndarray,
+                iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """One coordinatewise golden-section pass over 2n real coordinates for
+    every row of Z0 in lockstep, each line cut to its chord. Each row does
+    `_golden_max`'s arithmetic; each step is one objective call over all
+    rows, after one gauge check. Returns the best value and point per row."""
+    geo = geometry(d)
+    Z = np.array(Z0, dtype=np.complex128)
+    n = Z.shape[1]
+
+    def fun(X):
+        if _outside(geo, X).any():
+            raise OutsideDomainError(f"point not interior to {d}")
+        return objective(X)
+
+    best = fun(Z)
     for axis in range(2 * n):
         e = np.zeros(n, dtype=np.complex128)
         e[axis % n] = 1.0 if axis < n else 1.0j
-        lo, hi = _line_interval(d, z, e)
-        if hi - lo <= 1e-14:
+        lo, hi = geo.chord(Z, e)
+        live = np.flatnonzero(hi - lo > 1e-14)
+        if not len(live):
             continue
-        t, val = _golden_max(lambda t: objective(z + t * e), lo, hi, iters)
-        if val > best:
-            best = val
-            z = z + t * e
-    return best, z
+        Zl, a, b = Z[live], lo[live], hi[live]
+
+        def line(T):
+            return fun((Zl + T[..., None] * e).reshape(-1, n)).reshape(T.shape)
+
+        c, x = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+        fc, fx = line(np.stack([c, x]))
+        for _ in range(iters):
+            # fc >= fx: the bracket ends at x, c moves to x's slot and the
+            # new point takes c's; otherwise the mirror image
+            left = fc >= fx
+            a, b = np.where(left, a, c), np.where(left, x, b)
+            new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+            fnew = line(new)
+            c, x = np.where(left, new, x), np.where(left, c, new)
+            fc, fx = np.where(left, fnew, fx), np.where(left, fc, fnew)
+        t, val = np.where(fc >= fx, c, x), np.where(fc >= fx, fc, fx)
+        up = val > best[live]
+        best[live[up]], Z[live[up]] = val[up], Zl[up] + t[up, None] * e
+    return best, Z
 
 
-def _sup_estimate(d: DomainDescriptor, objective_batch, objective_point,
+def _sup_estimate(d: DomainDescriptor, objective_batch, objective_rows,
                   cfg: SamplingConfig) -> tuple[float, np.ndarray, int]:
-    """Shared sampled-sup machinery: stratified samples, then golden
-    refinement restarted at the best points. Returns (max, argmax, evals)."""
+    """Shared sampled-sup machinery: `objective_batch` over stratified
+    samples, then golden refinement from the best points through
+    `objective_rows`, all restarts at once. Returns (max, argmax, evals).
+    Callers pass one batch function twice: perfbench's tracer wraps this
+    signature and times the first as the scan (until ROADMAP item 3)."""
     Z = sample_interior(d, cfg.samples, cfg.seed, cfg.shells)
     vals = objective_batch(Z)
     order = np.argsort(vals)[::-1]
     best = float(vals[order[0]])
     argmax = Z[order[0]].copy()
-    for idx in order[: cfg.refine_restarts]:
-        val, pt = _refine_max(d, objective_point, Z[idx], cfg.refine_iters)
-        if val > best:
-            best, argmax = val, pt
+    top = order[: cfg.refine_restarts]
+    if len(top):
+        for val, pt in zip(*_refine_max(d, objective_rows, Z[top], cfg.refine_iters)):
+            if val > best:
+                best, argmax = float(val), pt
     return best, argmax, len(vals)
 
 
@@ -206,8 +223,11 @@ def beta_estimate(d: DomainDescriptor, f: SymbolExpr,
     _require_metric(d)
     if is_constant(f) is not None:
         return exact(0.0)
-    lower, argmax, ns = _sup_estimate(
-        d, lambda Z: q_values(d, f, Z), lambda z: q_value(d, f, z), cfg)
+
+    def objective(Z):
+        return q_values(d, f, Z)
+
+    lower, argmax, ns = _sup_estimate(d, objective, objective, cfg)
     upper = inf
     if certified_upper is not None:
         if certified_upper < lower - 1e-9:

@@ -61,6 +61,14 @@ RHO_UPPER_PAD = QUAD_ABS_TOL
 # so only this shave of the gauge separates the envelopes
 _SHAVE = 1.0 - 1e-6
 
+# `contains` admits gauge < _EDGE; it sums |z|^2 in another order, which
+# moves the gauge by up to about eps, so chord ends keep _CHORD_SLACK inside.
+# The roots aim at _AIM, further in by the rounding of a computed end, so
+# that the first gauge check admits most of them.
+_EDGE = 1.0 - EIG_MARGIN
+_CHORD_SLACK = 4.0 * np.finfo(float).eps
+_AIM = _EDGE - 2.0 * _CHORD_SLACK
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -75,6 +83,7 @@ class Geometry:
     gauge(Z)       Minkowski functional; the interior is gauge < 1
     distance(Z, W) Bergman distance rho(w, z) per row, broadcast over
                    leading axes; W=None (the default) is the origin
+    roots(Z, E)    (lo, hi) per row: the t where z + t e meets gauge = _AIM
     """
 
     matrix: Callable
@@ -82,6 +91,21 @@ class Geometry:
     q: Callable
     gauge: Callable
     distance: Callable
+    roots: Callable
+
+    def chord(self, Z: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Feasible t-interval (lo, hi) of z + t e per row, for interior
+        rows of Z and nonzero rows of E: the roots, each end pulled toward
+        0 until one batched gauge comparison admits it."""
+        T = np.stack(self.roots(Z, E))
+        step = np.broadcast_to(np.finfo(float).eps / _size(E), T.shape).copy()
+        while True:
+            P = (Z + T[..., None] * E).reshape(-1, Z.shape[-1])
+            bad = (self.gauge(P) >= _EDGE - _CHORD_SLACK).reshape(T.shape) & (T != 0.0)
+            if not bad.any():
+                return T[0], T[1]
+            T[bad] = np.copysign(np.maximum(np.abs(T[bad]) - step[bad], 0.0), T[bad])
+            step[bad] *= 2.0
 
     def growth(self, Z: np.ndarray, little: bool = False) -> np.ndarray:
         """Extremal growth omega(z) = rho(0, z) per row; little=True gives
@@ -188,11 +212,33 @@ def _max_modulus(Z: np.ndarray) -> np.ndarray:
     return np.max(np.abs(Z), axis=1)
 
 
+def _ball_roots(Z: np.ndarray, E: np.ndarray):
+    """The t with |z + t e| = _AIM over the last axis (the disk is one
+    column): a t^2 + 2 b t + c = 0 with c < 0 inside, solved without
+    cancellation. A factor with e = 0 puts no limit on t."""
+    a = (E.conj() * E).real.sum(axis=-1)
+    b = (Z.conj() * E).real.sum(axis=-1)
+    r = _size(Z)
+    c = (r - _AIM) * (r + _AIM)
+    s = -(b + np.copysign(np.sqrt(b * b - a * c), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = np.minimum(s / a, c / s), np.maximum(s / a, c / s)
+    return np.where(a > 0, lo, -np.inf), np.where(a > 0, hi, np.inf)
+
+
+def _coord_roots(Z: np.ndarray, E: np.ndarray):
+    # one disk factor per coordinate; the chord is their intersection
+    lo, hi = _ball_roots(Z[..., None], E[..., None])
+    return lo.max(axis=-1), hi.min(axis=-1)
+
+
 _GEOMETRY = {
-    Kind.DISK: Geometry(_coord_matrix, _coord_form, _coord_q, _size, _ball_distance),
-    Kind.BALL: Geometry(_ball_matrix, _ball_form, _ball_q, _size, _ball_distance),
+    Kind.DISK: Geometry(_coord_matrix, _coord_form, _coord_q, _size, _ball_distance,
+                        _ball_roots),
+    Kind.BALL: Geometry(_ball_matrix, _ball_form, _ball_q, _size, _ball_distance,
+                        _ball_roots),
     Kind.POLYDISK: Geometry(_coord_matrix, _coord_form, _coord_q, _max_modulus,
-                            _coord_distance),
+                            _coord_distance, _coord_roots),
 }
 
 
@@ -201,7 +247,8 @@ def _product_geometry(d: DomainDescriptor) -> Geometry:
     """Block composition: the metric is block diagonal, forms and Q^2 add
     up over factors, and so do squared distances (summed by hypot, which
     does not underflow). A point is interior when every factor is, so the
-    gauge is the largest factor gauge."""
+    gauge is the largest factor gauge and the chord is the intersection
+    of the factor chords."""
     parts = [(s, t, geometry(f)) for s, t, f in d.factor_slices()]
     n = d.ambient_dim
 
@@ -225,7 +272,11 @@ def _product_geometry(d: DomainDescriptor) -> Geometry:
             [g.distance(Z[..., s:t], None if W is None else W[..., s:t])
              for s, t, g in parts], axis=-1), axis=-1)
 
-    return Geometry(matrix, form, q, gauge, distance)
+    def roots(Z, E):
+        lo, hi = zip(*(g.roots(Z[..., s:t], E[..., s:t]) for s, t, g in parts))
+        return np.max(lo, axis=0), np.min(hi, axis=0)
+
+    return Geometry(matrix, form, q, gauge, distance, roots)
 
 
 def _require_metric(d: DomainDescriptor):
@@ -365,7 +416,7 @@ def _gk21(geo: Geometry, A: np.ndarray, U: np.ndarray, seg: np.ndarray,
 
 def _outside(geo: Geometry, Z: np.ndarray) -> np.ndarray:
     """Per row: not strictly interior, by the margin `contains` uses."""
-    return geo.gauge(Z) >= 1.0 - EIG_MARGIN
+    return geo.gauge(Z) >= _EDGE
 
 
 def path_length(d: DomainDescriptor, path: PiecewisePath) -> float:

@@ -17,12 +17,12 @@ Key facts wired into the verdicts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from math import atanh, inf, isinf
+from math import inf, isinf
 
 import numpy as np
 
-from .bloch import (AGAINST, _golden_max, _sup_estimate, beta_estimate,
+# q_value is unused here, but perfbench's tracer patches this binding
+from .bloch import (AGAINST, _sup_estimate, beta_estimate,  # noqa: F401
                     beta_upper_poly, bloch_norm_estimate,
                     little_star_membership_diagnostic, q_value, q_values)
 from .constants import in_class_D, resolved_constant
@@ -46,12 +46,10 @@ INCONCLUSIVE = "inconclusive"
 # ---------------------------------------------------------------------------
 # boundary weight
 
-@cache
-def _radial_peak() -> float:
-    # max over r in (0,1) of arctanh(r) * sqrt(1 - r^2)
-    _, val = _golden_max(lambda r: atanh(r) * np.sqrt(1.0 - r * r),
-                         1e-9, 1.0 - 1e-12, 200)
-    return val
+# max over r in (0, 1) of arctanh(r) sqrt(1 - r^2), which is
+# 0.66274341934918158..., rounded up by 2.8e-14 relative, so that the
+# rounded product with a coefficient bound stays above the true ceiling
+_RADIAL_PEAK = 0.6627434193492
 
 
 def sigma_upper_poly(d: DomainDescriptor, psi: Polynomial) -> float:
@@ -66,7 +64,7 @@ def sigma_upper_poly(d: DomainDescriptor, psi: Polynomial) -> float:
     if not isinstance(psi, Polynomial):
         raise UsageError("polynomial ceiling needs a polynomial symbol")
     if d.kind in (Kind.DISK, Kind.BALL):
-        return _radial_peak() * beta_upper_poly(psi)
+        return _RADIAL_PEAK * beta_upper_poly(psi)
     return inf
 
 
@@ -88,10 +86,10 @@ def sigma_estimate(d: DomainDescriptor, psi: SymbolExpr,
         return exact(0.0)
     little = which == "sigma0"
 
-    lower, argmax, ns = _sup_estimate(
-        d, lambda Z: q_values(d, psi, Z) * geo.growth(Z, little),
-        lambda z: q_value(d, psi, z) * float(geo.growth(z.reshape(1, -1), little)[0]),
-        cfg)
+    def objective(Z):
+        return q_values(d, psi, Z) * geo.growth(Z, little)
+
+    lower, argmax, ns = _sup_estimate(d, objective, objective, cfg)
     upper = inf
     if isinstance(psi, Polynomial):
         upper = max(sigma_upper_poly(d, psi), lower)
@@ -106,11 +104,11 @@ def supnorm_estimate(d: DomainDescriptor, psi: SymbolExpr,
     c = is_constant(psi)
     if c is not None:
         return exact(abs(c))
-    lower, argmax, ns = _sup_estimate(
-        d,
-        lambda Z: np.abs(evaluate_many(psi, Z)),
-        lambda z: abs(evaluate(psi, z)),
-        cfg)
+
+    def objective(Z):
+        return np.abs(evaluate_many(psi, Z))
+
+    lower, argmax, ns = _sup_estimate(d, objective, objective, cfg)
     upper = max(supnorm_upper(psi), lower)
     return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
                             argmax=tuple(argmax.tolist()))

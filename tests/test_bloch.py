@@ -28,8 +28,12 @@ from blochkit import (
     q_values,
     rho_from_origin,
     sample_interior,
+    sigma_estimate,
+    sigma_upper_poly,
 )
-from blochkit.bloch import AGAINST, CONSISTENT
+from blochkit import bloch
+from blochkit.bloch import AGAINST, CONSISTENT, _golden_max, _refine_max
+from blochkit.metric import geometry
 from blochkit.estimates import SamplingConfig
 from blochkit.errors import OutsideDomainError, UsageError
 from blochkit.symbols import LogFrac, format_complex
@@ -204,6 +208,89 @@ def test_lipschitz_bounded_by_coefficient_certificate():
         )
         v = lipschitz_beta_estimate(ball(2), f, npairs=100, seed=1)
         assert v <= beta_upper_poly(f) + 1e-9
+
+
+# ---------------------------------------------------------------- refinement
+
+REFINE_CASES = (
+    (disk(), mkpoly(1, {(1,): 0.4, (3,): 1.0 - 0.5j})),
+    (ball(2), mkpoly(2, {(1, 0): 0.7 + 0.2j, (0, 1): -0.3j, (2, 1): 0.4})),
+    (polydisk(2), mkpoly(2, {(1, 1): 1.0, (0, 2): 0.5j})),
+    (product(ball(2), disk()), mkpoly(3, {(1, 0, 1): 1.0, (0, 2, 0): -0.6})),
+)
+
+
+def _pointwise_refine(d, objective, z, iters):
+    """Reference: the coordinatewise pass one point at a time, each line
+    searched by the scalar `_golden_max` on its chord."""
+    geo = geometry(d)
+    n = len(z)
+    best = objective(z[None])[0]
+    for axis in range(2 * n):
+        e = np.zeros(n, dtype=np.complex128)
+        e[axis % n] = 1.0 if axis < n else 1.0j
+        lo, hi = (float(v[0]) for v in geo.chord(z[None], e))
+        if hi - lo <= 1e-14:
+            continue
+        t, val = _golden_max(lambda t: objective((z + t * e)[None])[0], lo, hi, iters)
+        if val > best:
+            best, z = val, z + t * e
+    return best, z
+
+
+@pytest.mark.parametrize("d,f", REFINE_CASES, ids=[str(d) for d, _ in REFINE_CASES])
+def test_lockstep_refinement_equals_one_row_runs(d, f):
+    # the rounded objective has plateaus, so ties between golden points occur
+    for objective in (lambda Z: q_values(d, f, Z), lambda Z: np.round(q_values(d, f, Z), 2)):
+        Z0 = sample_interior(d, 4, seed=9)
+        best, points = _refine_max(d, objective, Z0, 20)
+        for i in range(len(Z0)):
+            b1, p1 = _refine_max(d, objective, Z0[i:i + 1], 20)
+            assert best[i:i + 1].tobytes() == b1.tobytes()
+            assert points[i:i + 1].tobytes() == p1.tobytes()
+            b2, p2 = _pointwise_refine(d, objective, Z0[i], 20)
+            assert best[i:i + 1].tobytes() == np.float64(b2).tobytes()
+            assert points[i].tobytes() == p2.tobytes()
+
+
+@pytest.mark.parametrize("d,f", REFINE_CASES, ids=[str(d) for d, _ in REFINE_CASES])
+def test_refinement_raises_the_scan_within_the_certificates(d, f, fast_cfg):
+    scan_cfg = fast_cfg.with_(refine_restarts=0)
+    for estimate in (beta_estimate, sigma_estimate):
+        scanned = estimate(d, f, scan_cfg).lower
+        refined = estimate(d, f, fast_cfg).lower
+        assert refined >= scanned
+    if d.kind.value in ("disk", "ball"):
+        assert beta_estimate(d, f, fast_cfg).lower <= beta_upper_poly(f)
+        assert sigma_estimate(d, f, fast_cfg).lower <= sigma_upper_poly(d, f)
+
+
+def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
+    d = ball(3)
+    f = mkpoly(3, {(1, 0, 0): 0.5, (1, 1, 0): 1.0 - 1.0j, (0, 0, 3): 0.3})
+    n, iters = d.ambient_dim, 15
+    counts = {"contains": 0, "objective": 0}
+    real_contains, real_refine = bloch.contains, bloch._refine_max
+
+    def counted_contains(*args):
+        counts["contains"] += 1
+        return real_contains(*args)
+
+    def counted_refine(d, objective, Z0, iters):
+        def counted(Z):
+            counts["objective"] += 1
+            return objective(Z)
+        return real_refine(d, counted, Z0, iters)
+
+    monkeypatch.setattr(bloch, "contains", counted_contains)
+    monkeypatch.setattr(bloch, "_refine_max", counted_refine)
+    for restarts in (1, 3, 8):
+        counts.update(contains=0, objective=0)
+        cfg = SamplingConfig(samples=500, seed=3, refine_restarts=restarts,
+                             refine_iters=iters)
+        beta_estimate(d, f, cfg)
+        assert counts["contains"] == 0
+        assert 0 < counts["objective"] <= 2 * n * (iters + 2)
 
 
 # ---------------------------------------------------------------- growth scale

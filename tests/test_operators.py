@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,7 @@ from blochkit import (
 )
 from blochkit.errors import AmbiguousConstantError, UsageError
 from blochkit.operators import (
+    _RADIAL_PEAK,
     BOUNDED,
     BOUNDED_EVIDENCE,
     INCONCLUSIVE,
@@ -69,6 +71,15 @@ def test_sigma_upper_poly_values():
     assert math.isinf(sigma_upper_poly(polydisk(2), coordinate(1, 2)))
     with pytest.raises(UsageError):
         sigma_upper_poly(disk(), parse_symbol("fw(1,0.5)", 1))
+
+
+def test_radial_peak_literal_covers_the_true_maximum():
+    # arctanh(r) sqrt(1 - r^2) has derivative (1 - r arctanh r) / sqrt(1 - r^2)
+    with mpmath.workdps(50):
+        r = mpmath.findroot(lambda r: 1 - r * mpmath.atanh(r), (0.8, 0.9),
+                            solver="anderson")
+        peak = mpmath.atanh(r) * mpmath.sqrt(1 - r * r)
+        assert _RADIAL_PEAK >= peak * (1 + mpmath.mpf("1e-14"))
 
 
 def test_sigma_polydisk_upper_covers_the_weight_near_the_boundary():
