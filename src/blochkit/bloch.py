@@ -130,29 +130,14 @@ def beta_upper_poly(f: Polynomial) -> float:
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    e = a + _INVPHI * (b - a)
-    fc, fe = fun(c), fun(e)
-    for _ in range(iters):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _INVPHI * (b - a)
-            fe = fun(e)
-    return (c, fc) if fc >= fe else (e, fe)
-
-
 def _refine_max(d: DomainDescriptor, objective, Z0: np.ndarray,
                 iters: int) -> tuple[np.ndarray, np.ndarray]:
     """One coordinatewise golden-section pass over 2n real coordinates for
-    every row of Z0 in lockstep, each line cut to its chord. Each row does
-    `_golden_max`'s arithmetic; each step is one objective call over all
-    rows, after one gauge check. Returns the best value and point per row."""
+    every row of Z0 in lockstep, each line cut to its chord. Each row runs
+    a golden-section search of `iters` steps on its chord [a, b], keeping
+    the side of the larger of its two inner values (the left one on ties);
+    each step is one objective call over all rows, after one gauge check.
+    Returns the best value and point per row."""
     geo = geometry(d)
     Z = np.array(Z0, dtype=np.complex128)
     n = Z.shape[1]
@@ -298,24 +283,24 @@ class _Witness:
     little: bool
 
 
-def _coordinate_witnesses(sub: np.ndarray, little: bool) -> list[_Witness]:
+# parameter size of the little-class witnesses: their quotient
+# arctanh(s m) / s increases in s (its derivative has the sign of
+# x / (1 - x^2) - arctanh x > 0 at x = s m), so the largest s kept below 1
+# gives the best bound
+_LITTLE_S = 1.0 - 1e-9
+
+
+def _coordinate_witnesses(sub: np.ndarray) -> list[_Witness]:
     out = []
     for k, c in enumerate(sub):
         m = abs(c)
         if m == 0.0:
             continue
-        if not little:
-            # h-form with parameter z_k evaluates to arctanh|z_k| with
-            # seminorm bound 1
-            out.append(_Witness(f"h[{k + 1}]", atanh(m), 1.0, False))
-
-        def ratio(r: float, m: float = m) -> float:
-            return atanh(r * m) / r
-
-        r, val = _golden_max(ratio, 1e-6, 1.0 - 1e-9, 60)
-        # f-form with |w| = r has Bloch norm <= r and lies in the
+        # h-form with parameter z_k evaluates to arctanh|z_k| with seminorm
+        # bound 1; f-form with |w| = s has Bloch norm <= s and lies in the
         # *-little class
-        out.append(_Witness(f"fw[{k + 1}]", val * r, r, True))
+        out += [_Witness(f"h[{k + 1}]", atanh(m), 1.0, False),
+                _Witness(f"fw[{k + 1}]", atanh(_LITTLE_S * m), _LITTLE_S, True)]
     return out
 
 
@@ -323,24 +308,18 @@ def _direction_witnesses(sub: np.ndarray) -> list[_Witness]:
     r = float(np.linalg.norm(sub))
     if r == 0.0:
         return []
-    out = [_Witness("logdir", atanh(r), 1.0, False)]
-
-    def ratio(s: float) -> float:
-        return atanh(s * r) / s
-
-    s, val = _golden_max(ratio, 1e-6, 1.0 - 1e-9, 60)
-    out.append(_Witness("logdir-little", val * s, s, True))
-    # aligned linear polynomial, seminorm exactly 1
-    out.append(_Witness("linear", r, 1.0, True))
-    return out
+    # log-direction forms, and the aligned linear polynomial of seminorm 1
+    return [_Witness("logdir", atanh(r), 1.0, False),
+            _Witness("logdir-little", atanh(_LITTLE_S * r), _LITTLE_S, True),
+            _Witness("linear", r, 1.0, True)]
 
 
-def _omega_witnesses(d: DomainDescriptor, z: np.ndarray, little: bool) -> list[_Witness]:
+def _omega_witnesses(d: DomainDescriptor, z: np.ndarray) -> list[_Witness]:
     out: list[_Witness] = []
     for s, t, f in d.factor_slices():
         sub = z[s:t]
         if f.kind in (Kind.DISK, Kind.POLYDISK):
-            out.extend(_coordinate_witnesses(sub, little))
+            out.extend(_coordinate_witnesses(sub))
             nrm = float(np.linalg.norm(sub))
             if nrm > 0 and f.kind is Kind.DISK:
                 out.append(_Witness("linear", nrm, 1.0, True))
@@ -362,7 +341,7 @@ def omega_empirical_lower(d: DomainDescriptor, z,
     if not contains(d, z):
         raise OutsideDomainError(f"point not interior to {d}")
     best = 0.0
-    for w in _omega_witnesses(d, z, little):
+    for w in _omega_witnesses(d, z):
         if little and not w.little:
             continue
         if w.norm_upper > 0:

@@ -1,11 +1,12 @@
 """Per-domain seminorm ceilings for bounded symbols and the class of
 domains where that ceiling sits strictly below one.
 
-Closed forms by class (c below is the ceiling):
+Closed forms by class (c below is the ceiling), kept in the ceiling
+column of the domain table in `domains`:
 
     type I  (m x n rectangular):  c = sqrt(2 / (m + n))
-    type II (antisymmetric, n):   c = sqrt(2 / (n + 1))
-    type III (symmetric, n):      c = sqrt(1 / (n - 1))
+    type II (symmetric, n):       c = sqrt(2 / (n + 1))
+    type III (antisymmetric, n):  c = sqrt(1 / (n - 1))
     type IV (quadric, n != 2):    c = sqrt(2 / n), with n = 1 the disk
     exceptional (dims 16, 27):    1/sqrt(6) and 1/3
     products:                     max over factors
@@ -18,64 +19,26 @@ of silently picking one.
 
 from __future__ import annotations
 
-from math import sqrt
-
-from .domains import (DomainDescriptor, Kind, ball, cartan1, cartan2,
+from .domains import (DomainDescriptor, _row, ball, cartan1, cartan2,
                       cartan3, cartan4, disk, exceptional16, exceptional27,
                       polydisk, product)
-from .errors import AmbiguousConstantError, UnsupportedDomainError
-
-EXC16_CITATION = 1.0 / sqrt(6.0)
-EXC27_CITATION = 1.0 / 3.0
+from .errors import AmbiguousConstantError
 
 _ASSIGNMENTS = ("citation", "swapped")
-
-
-def _constant(d: DomainDescriptor, swapped: bool) -> float:
-    k = d.kind
-    if k is Kind.DISK:
-        return 1.0
-    if k is Kind.POLYDISK:
-        return 1.0
-    if k is Kind.BALL:
-        n = d.dims[0]
-        return sqrt(2.0 / (n + 1))
-    if k is Kind.CARTAN1:
-        m, n = d.dims
-        return sqrt(2.0 / (m + n))
-    if k is Kind.CARTAN2:
-        n = d.dims[0]
-        return sqrt(2.0 / (n + 1))
-    if k is Kind.CARTAN3:
-        n = d.dims[0]
-        return sqrt(1.0 / (n - 1))
-    if k is Kind.CARTAN4:
-        n = d.dims[0]
-        if n == 1:
-            # one-variable quadric is the disk; the generic formula
-            # does not apply below the series range
-            return 1.0
-        return sqrt(2.0 / n)
-    if k is Kind.EXC1:
-        return EXC27_CITATION if swapped else EXC16_CITATION
-    if k is Kind.EXC2:
-        return EXC16_CITATION if swapped else EXC27_CITATION
-    if k is Kind.PRODUCT:
-        return max(_constant(f, swapped) for f in d.factors)
-    raise UnsupportedDomainError(f"no seminorm ceiling for {d}")
 
 
 def bloch_constant(d: DomainDescriptor, assignment: str = "citation") -> float:
     """Ceiling c with Q_psi <= c * ||psi||_inf for bounded symbols."""
     if assignment not in _ASSIGNMENTS:
         raise ValueError(f"assignment must be one of {_ASSIGNMENTS}")
-    return _constant(d, assignment == "swapped")
+    return _row(d).ceiling(d.dims, assignment == "swapped")
 
 
 def bloch_constant_candidates(d: DomainDescriptor) -> tuple[float, float]:
     """(citation-order value, swapped value); equal when the domain has
     no exceptional part or the exceptional part is not the max."""
-    return _constant(d, False), _constant(d, True)
+    ceiling = _row(d).ceiling
+    return ceiling(d.dims, False), ceiling(d.dims, True)
 
 
 def resolved_constant(d: DomainDescriptor) -> float:
@@ -91,24 +54,7 @@ def resolved_constant(d: DomainDescriptor) -> float:
 
 def has_disk_factor(d: DomainDescriptor) -> bool:
     """True when some irreducible factor is (isomorphic to) the disk."""
-    k = d.kind
-    if k is Kind.DISK or k is Kind.POLYDISK:
-        return True
-    if k is Kind.BALL:
-        return d.dims[0] == 1
-    if k is Kind.CARTAN1:
-        return d.dims == (1, 1)
-    if k is Kind.CARTAN2:
-        return d.dims[0] == 1
-    if k is Kind.CARTAN3:
-        return d.dims[0] == 2
-    if k is Kind.CARTAN4:
-        return d.dims[0] == 1
-    if k in (Kind.EXC1, Kind.EXC2):
-        return False
-    if k is Kind.PRODUCT:
-        return any(has_disk_factor(f) for f in d.factors)
-    raise UnsupportedDomainError(f"cannot classify {d}")
+    return _row(d).disk_factor(d.dims)
 
 
 def in_class_D(d: DomainDescriptor) -> bool:
@@ -129,28 +75,7 @@ def in_class_D(d: DomainDescriptor) -> bool:
 
 def standard_form(d: DomainDescriptor) -> str:
     """Short class label for display."""
-    k = d.kind
-    if k is Kind.DISK:
-        return "disk"
-    if k is Kind.BALL:
-        return f"ball({d.dims[0]})"
-    if k is Kind.POLYDISK:
-        return f"polydisk({d.dims[0]})"
-    if k is Kind.CARTAN1:
-        return f"type-I({d.dims[0]}x{d.dims[1]})"
-    if k is Kind.CARTAN2:
-        return f"type-II({d.dims[0]})"
-    if k is Kind.CARTAN3:
-        return f"type-III({d.dims[0]})"
-    if k is Kind.CARTAN4:
-        return f"type-IV({d.dims[0]})"
-    if k is Kind.EXC1:
-        return "exceptional(16)"
-    if k is Kind.EXC2:
-        return "exceptional(27)"
-    if k is Kind.PRODUCT:
-        return "product(" + ", ".join(standard_form(f) for f in d.factors) + ")"
-    raise UnsupportedDomainError(f"cannot classify {d}")
+    return _row(d).label(d.dims)
 
 
 REGISTRY: tuple[DomainDescriptor, ...] = (

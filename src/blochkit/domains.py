@@ -4,15 +4,26 @@ Supported kinds: the unit disk, the euclidean unit ball, the unit
 polydisk, the four classical matrix families (cartan1..cartan4), two
 exceptional labels (constants only), and finite products.
 
+Every per-kind fact sits once in the table `_ROWS`, one row per kind of
+irreducible domain: dimension check, coordinate count, canonical flag,
+class label, seminorm ceiling, disk-factor test, membership, and the two
+samplers. `_product_row` composes the rows of a product's factors. The
+disk, ball and polydisk also carry a gauge (Minkowski functional), and a
+point is interior to them when its gauge is below 1 - EIG_MARGIN, the
+test the metric layer applies to batches of rows.
+
 Points are flat complex vectors of the ambient dimension; matrix
-domains are flattened row-major, so cartan1:2,3 takes 6 coordinates
-ordered Z[0,0], Z[0,1], Z[0,2], Z[1,0], ...
+domains are flattened row-major, so cartan1:3,2 takes 6 coordinates
+ordered Z[0,0], Z[0,1], Z[1,0], Z[1,1], Z[2,0], Z[2,1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from math import sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +32,13 @@ from .errors import DimensionMismatch, UsageError, UnsupportedDomainError
 # strict positivity margin for smallest-eigenvalue membership tests
 EIG_MARGIN = 1e-12
 
+# a gauge below this is interior
+_EDGE = 1.0 - EIG_MARGIN
+
 DEFAULT_SHELLS = (0.0, 0.5, 0.9, 0.99, 0.999)
+
+EXC16_CITATION = 1.0 / sqrt(6.0)
+EXC27_CITATION = 1.0 / 3.0
 
 
 class Kind(Enum):
@@ -37,9 +54,6 @@ class Kind(Enum):
     PRODUCT = "product"
 
 
-_METRIC_KINDS = {Kind.DISK, Kind.BALL, Kind.POLYDISK}
-
-
 @dataclass(frozen=True)
 class DomainDescriptor:
     kind: Kind
@@ -47,73 +61,36 @@ class DomainDescriptor:
     factors: tuple["DomainDescriptor", ...] = ()
 
     def __post_init__(self):
-        k, d = self.kind, self.dims
-        if k is Kind.DISK:
-            if d not in ((), (1,)):
-                raise UsageError("disk takes no dimension")
-            object.__setattr__(self, "dims", (1,))
-        elif k in (Kind.BALL, Kind.POLYDISK):
-            if len(d) != 1 or d[0] < 1:
-                raise UsageError(f"{k.value} needs one dimension >= 1")
-        elif k is Kind.CARTAN1:
-            if len(d) != 2 or not (d[0] >= d[1] >= 1):
-                raise UsageError("cartan1 needs m >= n >= 1")
-        elif k is Kind.CARTAN2:
-            if len(d) != 1 or d[0] < 1:
-                raise UsageError("cartan2 needs n >= 1")
-        elif k is Kind.CARTAN3:
-            if len(d) != 1 or d[0] < 2:
-                raise UsageError("cartan3 needs n >= 2")
-        elif k is Kind.CARTAN4:
-            if len(d) != 1 or d[0] < 1 or d[0] == 2:
-                raise UsageError("cartan4 needs n >= 1, n != 2")
-        elif k in (Kind.EXC1, Kind.EXC2):
-            if d != ():
-                raise UsageError(f"{k.value} takes no dimension")
-        elif k is Kind.PRODUCT:
+        if self.kind is Kind.PRODUCT:
             if len(self.factors) < 2:
                 raise UsageError("product needs at least two factors")
-            if any(f.kind is Kind.PRODUCT for f in self.factors):
+            if any(f.factors for f in self.factors):
                 raise UsageError("product factors must not be products")
+            return
+        if self.factors:
+            raise UsageError(f"{self.kind.value} takes no factors")
+        row = _ROWS[self.kind]
+        dims = self.dims or row.implicit
+        if not row.fits(dims):
+            raise UsageError(row.need)
+        object.__setattr__(self, "dims", dims)
 
     @property
     def ambient_dim(self) -> int:
-        k, d = self.kind, self.dims
-        if k is Kind.DISK:
-            return 1
-        if k in (Kind.BALL, Kind.POLYDISK, Kind.CARTAN4):
-            return d[0]
-        if k is Kind.CARTAN1:
-            return d[0] * d[1]
-        if k in (Kind.CARTAN2, Kind.CARTAN3):
-            return d[0] * d[0]
-        if k is Kind.EXC1:
-            return 16
-        if k is Kind.EXC2:
-            return 27
-        return sum(f.ambient_dim for f in self.factors)
+        return _row(self).ambient(self.dims)
 
     @property
     def canonical(self) -> bool:
         """Whether dims meet the classification's disjointness restrictions."""
-        k = self.kind
-        if k is Kind.CARTAN2:
-            return self.dims[0] >= 2
-        if k in (Kind.CARTAN3, Kind.CARTAN4):
-            return self.dims[0] >= 5
-        if k is Kind.PRODUCT:
-            return all(f.canonical for f in self.factors)
-        return True
+        return _row(self).canonical(self.dims)
 
     @property
     def metric_supported(self) -> bool:
-        if self.kind is Kind.PRODUCT:
-            return all(f.metric_supported for f in self.factors)
-        return self.kind in _METRIC_KINDS
+        return _row(self).gauge is not None
 
     def factor_slices(self) -> list[tuple[int, int, "DomainDescriptor"]]:
         """(start, stop, factor) coordinate slices; a non-product is one slice."""
-        if self.kind is not Kind.PRODUCT:
+        if not self.factors:
             return [(0, self.ambient_dim, self)]
         out, start = [], 0
         for f in self.factors:
@@ -122,12 +99,11 @@ class DomainDescriptor:
         return out
 
     def spec_string(self) -> str:
-        k, d = self.kind, self.dims
-        if k is Kind.DISK or k in (Kind.EXC1, Kind.EXC2):
-            return k.value
-        if k is Kind.PRODUCT:
+        if self.factors:
             return "product(" + ",".join(f.spec_string() for f in self.factors) + ")"
-        return k.value + ":" + ",".join(str(x) for x in d)
+        if self.dims == _ROWS[self.kind].implicit:  # a spec without dimensions
+            return self.kind.value
+        return self.kind.value + ":" + ",".join(str(x) for x in self.dims)
 
     def __str__(self) -> str:
         return self.spec_string()
@@ -208,7 +184,7 @@ def parse_domain(spec: str) -> DomainDescriptor:
             raise UsageError(f"malformed product spec {spec!r}")
         raw = _split_top_level(body[1:-1])
         # a bare integer continues the previous factor's dimension list
-        # (cartan1:2,3 inside a product splits at its inner comma)
+        # (cartan1:3,2 inside a product splits at its inner comma)
         merged: list[str] = []
         for part in raw:
             part = part.strip()
@@ -225,15 +201,11 @@ def parse_domain(spec: str) -> DomainDescriptor:
             dims = tuple(int(x) for x in dimtext.split(","))
         except ValueError:
             raise UsageError(f"bad dimensions in domain spec {spec!r}") from None
-    table = {
-        "disk": Kind.DISK, "ball": Kind.BALL, "polydisk": Kind.POLYDISK,
-        "cartan1": Kind.CARTAN1, "cartan2": Kind.CARTAN2,
-        "cartan3": Kind.CARTAN3, "cartan4": Kind.CARTAN4,
-        "exc1": Kind.EXC1, "exc2": Kind.EXC2,
-    }
-    if name not in table:
-        raise UsageError(f"unknown domain kind {name!r}")
-    return DomainDescriptor(table[name], dims)
+    try:
+        kind = Kind(name)
+    except ValueError:
+        raise UsageError(f"unknown domain kind {name!r}") from None
+    return DomainDescriptor(kind, dims)
 
 
 def _as_point(d: DomainDescriptor, z) -> np.ndarray:
@@ -245,53 +217,50 @@ def _as_point(d: DomainDescriptor, z) -> np.ndarray:
     return z
 
 
-def _matrix_of(d: DomainDescriptor, z: np.ndarray) -> np.ndarray:
-    if d.kind is Kind.CARTAN1:
-        m, n = d.dims
-        return z.reshape(m, n)
-    n = d.dims[0]
-    return z.reshape(n, n)
+# ---------------------------------------------------------------------------
+# gauges, membership tests and samplers of the table rows
 
 
-def contains(d: DomainDescriptor, z) -> bool:
-    """Strict interior membership, smallest-eigenvalue margin 1e-12."""
-    z = _as_point(d, z)
-    k = d.kind
-    if k is Kind.DISK:
-        return abs(z[0]) < 1.0 - EIG_MARGIN
-    if k is Kind.BALL:
-        return float(np.linalg.norm(z)) < 1.0 - EIG_MARGIN
-    if k is Kind.POLYDISK:
-        return float(np.max(np.abs(z))) < 1.0 - EIG_MARGIN
-    if k in (Kind.CARTAN1, Kind.CARTAN2, Kind.CARTAN3):
-        Z = _matrix_of(d, z)
-        if k is Kind.CARTAN2 and np.max(np.abs(Z - Z.T)) > 1e-12:
-            return False
-        if k is Kind.CARTAN3 and np.max(np.abs(Z + Z.T)) > 1e-12:
+def _size(X: np.ndarray) -> np.ndarray:
+    """Euclidean size over the last axis, summed as np.linalg.norm sums
+    it, so that distances from the origin are arctanh(np.linalg.norm(z))
+    to the bit. Rows below 2^-450, whose squares would underflow, are
+    summed scaled by 2^600, which is exact."""
+    r = np.sqrt((X.conj() * X).real.sum(axis=-1))
+    if r.min(initial=1.0) < 2.0 ** -450:
+        tiny = r < 2.0 ** -450
+        Y = X[tiny] * 2.0 ** 600
+        r[tiny] = np.sqrt((Y.conj() * Y).real.sum(axis=-1)) * 2.0 ** -600
+    return r
+
+
+def _max_modulus(Z: np.ndarray) -> np.ndarray:
+    # the ndarray method: np.max's dispatch dominates a one-row call
+    return np.abs(Z).max(axis=1)
+
+
+def _by_gauge(gauge: Callable) -> Callable:
+    """Membership gauge < 1 - EIG_MARGIN, for one point exactly the test
+    the metric layer makes on each row of a batch."""
+    return lambda dims, z: float(gauge(z[None])[0]) < _EDGE
+
+
+def _matrix_member(shape: Callable, sign: int) -> Callable:
+    """Membership in {Z : 1 - Z Z^H > 0} by the smallest-eigenvalue
+    margin; sign 1 (-1) first requires Z symmetric (antisymmetric)."""
+    def member(dims, z):
+        Z = z.reshape(shape(dims))
+        if sign and np.max(np.abs(Z - sign * Z.T)) > 1e-12:
             return False
         gram = np.eye(Z.shape[0]) - Z @ Z.conj().T
-        lo = float(np.min(np.linalg.eigvalsh(gram)))
-        return lo > EIG_MARGIN
-    if k is Kind.CARTAN4:
-        nz2 = float(np.sum(np.abs(z) ** 2))
-        a = abs(np.sum(z * z)) ** 2 + 1.0 - 2.0 * nz2
-        return nz2 < 1.0 - EIG_MARGIN and a > EIG_MARGIN
-    if k is Kind.PRODUCT:
-        return all(contains(f, z[s:t]) for s, t, f in d.factor_slices())
-    raise UnsupportedDomainError(f"membership test not available for {d}")
+        return float(np.min(np.linalg.eigvalsh(gram))) > EIG_MARGIN
+    return member
 
 
-def _shell_counts(count: int, nshells: int) -> list[int]:
-    base, rem = divmod(count, nshells)
-    return [base + (1 if i < rem else 0) for i in range(nshells)]
-
-
-def _shell_bands(shells: tuple[float, ...]) -> list[tuple[float, float]]:
-    out = []
-    for i, s in enumerate(shells):
-        hi = shells[i + 1] if i + 1 < len(shells) else (1.0 + s) / 2.0
-        out.append((s, hi))
-    return out
+def _cartan4_member(dims, z) -> bool:
+    nz2 = float(np.sum(np.abs(z) ** 2))
+    a = abs(np.sum(z * z)) ** 2 + 1.0 - 2.0 * nz2
+    return nz2 < 1.0 - EIG_MARGIN and a > EIG_MARGIN
 
 
 def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -302,15 +271,6 @@ def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
     return u / norms
 
 
-def _cartan4_reach(u: np.ndarray) -> np.ndarray:
-    # largest s with s*u interior along a unit direction u:
-    # A(s*u) = c^2 s^4 - 2 s^2 + 1 with c = |sum u_j^2| stays positive
-    # for s^2 < 1/(1 + sqrt(1 - c^2)), which also enforces |s*u| < 1
-    c2 = np.abs(np.sum(u * u, axis=1)) ** 2
-    c2 = np.clip(c2, 0.0, 1.0)
-    return 1.0 / np.sqrt(1.0 + np.sqrt(1.0 - c2))
-
-
 def _role_rng(ss: np.random.SeedSequence, role: int) -> np.random.Generator:
     # one substream per draw role, so growing the sample count extends
     # every role's stream instead of shifting the later roles
@@ -318,37 +278,192 @@ def _role_rng(ss: np.random.SeedSequence, role: int) -> np.random.Generator:
         entropy=ss.entropy, spawn_key=ss.spawn_key + (role,))))
 
 
-def _sample_band(d: DomainDescriptor, c: int, ss: np.random.SeedSequence,
-                 lo: float, hi: float) -> np.ndarray:
-    n = d.ambient_dim
-    t = lo + (hi - lo) * _role_rng(ss, 0).random(c)
-    k = d.kind
-    if k in (Kind.DISK, Kind.BALL):
-        u = _unit_directions(_role_rng(ss, 1), c, n)
-        return u * t[:, None]
-    if k is Kind.POLYDISK:
-        # every coordinate modulus sits inside the band: probes the torus
-        mod = lo + (hi - lo) * _role_rng(ss, 1).random((c, n))
-        ang = 2.0 * np.pi * _role_rng(ss, 2).random((c, n))
-        return mod * np.exp(1j * ang)
-    if k in (Kind.CARTAN1, Kind.CARTAN2, Kind.CARTAN3):
-        if k is Kind.CARTAN1:
-            m, q = d.dims
-        else:
-            m = q = d.dims[0]
-        g = (_role_rng(ss, 1).standard_normal((c, m, q))
-             + 1j * _role_rng(ss, 2).standard_normal((c, m, q)))
-        if k is Kind.CARTAN2:
-            g = (g + np.transpose(g, (0, 2, 1))) / 2.0
-        elif k is Kind.CARTAN3:
-            g = (g - np.transpose(g, (0, 2, 1))) / 2.0
+# A band sampler draws len(t) interior rows at radial factors t in [lo, hi)
+# from the shell's seed sequence ss; a boundary sampler draws count rows at
+# radius r = 1 - eps from one generator.
+
+def _ball_band(dims, ss, lo, hi, t):
+    return _unit_directions(_role_rng(ss, 1), len(t), dims[0]) * t[:, None]
+
+
+def _polydisk_band(dims, ss, lo, hi, t):
+    # every coordinate modulus sits inside the band: probes the torus
+    shape = (len(t), dims[0])
+    mod = lo + (hi - lo) * _role_rng(ss, 1).random(shape)
+    ang = 2.0 * np.pi * _role_rng(ss, 2).random(shape)
+    return mod * np.exp(1j * ang)
+
+
+def _matrix_band(shape: Callable, sign: int) -> Callable:
+    """Gaussian matrices, symmetrised (sign 1) or antisymmetrised (sign
+    -1), scaled to operator norm t."""
+    def band(dims, ss, lo, hi, t):
+        size = (len(t),) + shape(dims)
+        g = (_role_rng(ss, 1).standard_normal(size)
+             + 1j * _role_rng(ss, 2).standard_normal(size))
+        if sign:
+            g = (g + sign * np.transpose(g, (0, 2, 1))) / 2.0
         ops = np.linalg.norm(g, ord=2, axis=(1, 2))
         ops[ops == 0] = 1.0
-        return (g * (t / ops)[:, None, None]).reshape(c, n)
-    if k is Kind.CARTAN4:
-        u = _unit_directions(_role_rng(ss, 1), c, n)
-        return u * (t * _cartan4_reach(u))[:, None]
-    raise UnsupportedDomainError(f"no interior sampler for {d}")
+        return (g * (t / ops)[:, None, None]).reshape(len(t), -1)
+    return band
+
+
+def _cartan4_band(dims, ss, lo, hi, t):
+    # largest s with s*u interior along a unit direction u:
+    # A(s*u) = c^2 s^4 - 2 s^2 + 1 with c = |sum u_j^2| stays positive
+    # for s^2 < 1/(1 + sqrt(1 - c^2)), which also enforces |s*u| < 1
+    u = _unit_directions(_role_rng(ss, 1), len(t), dims[0])
+    c2 = np.clip(np.abs(np.sum(u * u, axis=1)) ** 2, 0.0, 1.0)
+    return u * (t * (1.0 / np.sqrt(1.0 + np.sqrt(1.0 - c2))))[:, None]
+
+
+def _ball_boundary(dims, count, r, rng):
+    return _unit_directions(rng, count, dims[0]) * r
+
+
+def _polydisk_boundary(dims, count, r, rng):
+    ang = 2.0 * np.pi * rng.random((count, dims[0]))
+    return r * np.exp(1j * ang)
+
+
+# ---------------------------------------------------------------------------
+# the domain table
+
+
+@dataclass(frozen=True)
+class _Row:
+    """The columns of one kind, functions of its dims tuple: the dimension
+    check `fits` (`need` is its error message, `implicit` the dims stored
+    when a spec gives none), coordinate count, the classification's
+    disjointness restrictions, class label, seminorm ceiling (swapped
+    exchanges the exceptional values), whether some irreducible factor is
+    the disk, membership, the samplers above, and the gauge that exactly
+    the metric-supported kinds have. `ceiling` and `disk_factor` are the
+    two routes of `in_class_D`, so neither is derived from the other."""
+
+    ambient: Callable
+    label: Callable
+    ceiling: Callable
+    disk_factor: Callable
+    fits: Callable | None = None
+    need: str = ""
+    implicit: tuple = ()
+    canonical: Callable = lambda dims: True
+    member: Callable | None = None
+    band: Callable | None = None
+    boundary: Callable | None = None
+    gauge: Callable | None = None
+
+
+def _square(dims) -> tuple[int, int]:
+    return (dims[0], dims[0])
+
+
+_ROWS: dict[Kind, _Row] = {
+    Kind.DISK: _Row(
+        fits=lambda d: d == (1,), need="disk takes no dimension", implicit=(1,),
+        ambient=lambda d: 1, label=lambda d: "disk",
+        ceiling=lambda d, swapped: 1.0, disk_factor=lambda d: True,
+        gauge=_size, member=_by_gauge(_size), band=_ball_band, boundary=_ball_boundary),
+    Kind.BALL: _Row(
+        fits=lambda d: len(d) == 1 and d[0] >= 1, need="ball needs one dimension >= 1",
+        ambient=lambda d: d[0], label=lambda d: f"ball({d[0]})",
+        ceiling=lambda d, swapped: sqrt(2.0 / (d[0] + 1)), disk_factor=lambda d: d[0] == 1,
+        gauge=_size, member=_by_gauge(_size), band=_ball_band, boundary=_ball_boundary),
+    Kind.POLYDISK: _Row(
+        fits=lambda d: len(d) == 1 and d[0] >= 1, need="polydisk needs one dimension >= 1",
+        ambient=lambda d: d[0], label=lambda d: f"polydisk({d[0]})",
+        ceiling=lambda d, swapped: 1.0, disk_factor=lambda d: True,
+        gauge=_max_modulus, member=_by_gauge(_max_modulus), band=_polydisk_band,
+        boundary=_polydisk_boundary),
+    Kind.CARTAN1: _Row(  # m x n matrices
+        fits=lambda d: len(d) == 2 and d[0] >= d[1] >= 1, need="cartan1 needs m >= n >= 1",
+        ambient=lambda d: d[0] * d[1], label=lambda d: f"type-I({d[0]}x{d[1]})",
+        ceiling=lambda d, swapped: sqrt(2.0 / (d[0] + d[1])),
+        disk_factor=lambda d: d == (1, 1),
+        member=_matrix_member(lambda d: d, 0), band=_matrix_band(lambda d: d, 0)),
+    Kind.CARTAN2: _Row(  # symmetric n x n matrices
+        fits=lambda d: len(d) == 1 and d[0] >= 1, need="cartan2 needs n >= 1",
+        ambient=lambda d: d[0] * d[0], canonical=lambda d: d[0] >= 2,
+        label=lambda d: f"type-II({d[0]})",
+        ceiling=lambda d, swapped: sqrt(2.0 / (d[0] + 1)), disk_factor=lambda d: d[0] == 1,
+        member=_matrix_member(_square, 1), band=_matrix_band(_square, 1)),
+    Kind.CARTAN3: _Row(  # antisymmetric n x n matrices
+        fits=lambda d: len(d) == 1 and d[0] >= 2, need="cartan3 needs n >= 2",
+        ambient=lambda d: d[0] * d[0], canonical=lambda d: d[0] >= 5,
+        label=lambda d: f"type-III({d[0]})",
+        ceiling=lambda d, swapped: sqrt(1.0 / (d[0] - 1)), disk_factor=lambda d: d[0] == 2,
+        member=_matrix_member(_square, -1), band=_matrix_band(_square, -1)),
+    Kind.CARTAN4: _Row(  # the Lie ball; n = 1 is the disk
+        fits=lambda d: len(d) == 1 and d[0] >= 1 and d[0] != 2,
+        need="cartan4 needs n >= 1, n != 2",
+        ambient=lambda d: d[0], canonical=lambda d: d[0] >= 5,
+        label=lambda d: f"type-IV({d[0]})",
+        # the generic formula does not apply below the series range
+        ceiling=lambda d, swapped: 1.0 if d[0] == 1 else sqrt(2.0 / d[0]),
+        disk_factor=lambda d: d[0] == 1,
+        member=_cartan4_member, band=_cartan4_band),
+    Kind.EXC1: _Row(
+        fits=lambda d: d == (), need="exc1 takes no dimension",
+        ambient=lambda d: 16, label=lambda d: "exceptional(16)",
+        ceiling=lambda d, swapped: EXC27_CITATION if swapped else EXC16_CITATION,
+        disk_factor=lambda d: False),
+    Kind.EXC2: _Row(
+        fits=lambda d: d == (), need="exc2 takes no dimension",
+        ambient=lambda d: 27, label=lambda d: "exceptional(27)",
+        ceiling=lambda d, swapped: EXC16_CITATION if swapped else EXC27_CITATION,
+        disk_factor=lambda d: False),
+}
+
+
+@lru_cache(maxsize=64)
+def _product_row(d: DomainDescriptor) -> _Row:
+    """The row of a product, composed from its factors' rows: a point is
+    interior when every factor part is, the gauge and the ceiling are the
+    largest factor values, it has a disk factor when any factor is one,
+    the label joins the factor labels, and the boundary sampler fills the
+    factor slices in turn from one generator. A column that some factor
+    lacks, the product lacks."""
+    parts = [(s, t, f.dims, _ROWS[f.kind]) for s, t, f in d.factor_slices()]
+
+    def member(dims, z):
+        return all(r.member(fd, z[s:t]) for s, t, fd, r in parts)
+
+    def boundary(dims, count, rad, rng):
+        return np.concatenate([r.boundary(fd, count, rad, rng) for _, _, fd, r in parts],
+                              axis=1)
+
+    def gauge(Z):
+        return np.max(np.stack([r.gauge(Z[:, s:t]) for s, t, _, r in parts]), axis=0)
+
+    def every(column):
+        return all(getattr(r, column) is not None for *_, r in parts)
+
+    return _Row(
+        ambient=lambda dims: parts[-1][1],
+        canonical=lambda dims: all(r.canonical(fd) for _, _, fd, r in parts),
+        label=lambda dims: "product(" + ", ".join(r.label(fd) for _, _, fd, r in parts) + ")",
+        ceiling=lambda dims, swapped: max(r.ceiling(fd, swapped) for _, _, fd, r in parts),
+        disk_factor=lambda dims: any(r.disk_factor(fd) for _, _, fd, r in parts),
+        member=member if every("member") else None,
+        boundary=boundary if every("boundary") else None,
+        gauge=gauge if every("gauge") else None)
+
+
+def _row(d: DomainDescriptor) -> _Row:
+    """The table row of d; a product's is composed from its factors'."""
+    return _product_row(d) if d.factors else _ROWS[d.kind]
+
+
+def contains(d: DomainDescriptor, z) -> bool:
+    """Strict interior membership, smallest-eigenvalue margin 1e-12; on
+    the disk, ball and polydisk, gauge < 1 - 1e-12."""
+    z = _as_point(d, z)
+    member = _row(d).member
+    if member is None:
+        raise UnsupportedDomainError(f"membership test not available for {d}")
+    return member(d.dims, z)
 
 
 def sample_interior(d: DomainDescriptor, count: int, seed: int,
@@ -359,14 +474,14 @@ def sample_interior(d: DomainDescriptor, count: int, seed: int,
     one of count/len(shells)); each shell draws its radial factor from
     [shell, next shell). Per-shell substreams keep the first half of a
     doubled draw identical, so sampled suprema never shrink when the
-    sample count grows.
+    sample count grows. A product stratifies each factor on its own
+    substream.
     """
     if count < 1:
         raise UsageError("sample count must be >= 1")
-    if d.kind is Kind.PRODUCT:
-        slices = d.factor_slices()
+    if d.factors:
         out = np.empty((count, d.ambient_dim), dtype=np.complex128)
-        for i, (s, t, f) in enumerate(slices):
+        for i, (s, t, f) in enumerate(d.factor_slices()):
             sub = np.random.SeedSequence(entropy=seed, spawn_key=(101, i))
             out[:, s:t] = _stratified(f, count, sub, shells)
         return out
@@ -375,15 +490,23 @@ def sample_interior(d: DomainDescriptor, count: int, seed: int,
 
 def _stratified(d: DomainDescriptor, count: int, ss: np.random.SeedSequence,
                 shells: tuple[float, ...]) -> np.ndarray:
-    bands = _shell_bands(tuple(shells))
-    counts = _shell_counts(count, len(bands))
+    band = _row(d).band
+    if band is None:
+        raise UnsupportedDomainError(f"no interior sampler for {d}")
+    # shell i is the band [shells[i], shells[i + 1]), the last one reaching
+    # halfway to 1, and takes count // len(shells) points, one more for
+    # the first count % len(shells) shells
+    base, rem = divmod(count, len(shells))
     pieces = []
-    for i, ((lo, hi), c) in enumerate(zip(bands, counts)):
+    for i, lo in enumerate(shells):
+        hi = shells[i + 1] if i + 1 < len(shells) else (1.0 + lo) / 2.0
+        c = base + (1 if i < rem else 0)
         if c == 0:
             continue
         shell_ss = np.random.SeedSequence(entropy=ss.entropy,
                                           spawn_key=ss.spawn_key + (i,))
-        pieces.append(_sample_band(d, c, shell_ss, lo, hi))
+        t = lo + (hi - lo) * _role_rng(shell_ss, 0).random(c)
+        pieces.append(band(d.dims, shell_ss, lo, hi, t))
     return np.concatenate(pieces, axis=0)
 
 
@@ -396,24 +519,10 @@ def sample_near_distinguished_boundary(d: DomainDescriptor, count: int,
     """
     if not (0.0 < eps < 1.0):
         raise UsageError("eps must be in (0, 1)")
+    boundary = _row(d).boundary
+    if boundary is None:
+        raise UnsupportedDomainError(f"no distinguished-boundary sampler for {d}")
     # keyed on the exact bits of eps, so distinct eps draw distinct streams
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         entropy=seed, spawn_key=(202, int(np.float64(eps).view(np.uint64))))))
-    return _near_boundary(d, count, eps, rng)
-
-
-def _near_boundary(d, count, eps, rng) -> np.ndarray:
-    k = d.kind
-    n = d.ambient_dim
-    r = 1.0 - eps
-    if k in (Kind.DISK, Kind.BALL):
-        return _unit_directions(rng, count, n) * r
-    if k is Kind.POLYDISK:
-        ang = 2.0 * np.pi * rng.random((count, n))
-        return r * np.exp(1j * ang)
-    if k is Kind.PRODUCT:
-        out = np.empty((count, n), dtype=np.complex128)
-        for s, t, f in d.factor_slices():
-            out[:, s:t] = _near_boundary(f, count, eps, rng)
-        return out
-    raise UnsupportedDomainError(f"no distinguished-boundary sampler for {d}")
+    return boundary(d.dims, count, 1.0 - eps, rng)

@@ -2,9 +2,10 @@
 size Q, growth envelopes, path lengths, and distance-from-origin.
 
 Every per-kind formula sits once in the table `_GEOMETRY`, keyed by the
-metric kinds (disk, ball, polydisk); products compose the entries of
-their factors in `_product_geometry`. The normalizations all reduce to
-the disk form |u|^2 / (1 - |z|^2)^2 in one variable:
+metric kinds (disk, ball, polydisk), whose gauges are the domain
+table's; products compose the entries of their factors in
+`_product_geometry`. The normalizations all reduce to the disk form
+|u|^2 / (1 - |z|^2)^2 in one variable:
 
     disk/polydisk: H_z(u, u*) = sum_k |u_k|^2 / (1 - |z_k|^2)^2
     ball:          H_z(u, u*) = [(1 - |z|^2)|u|^2 + |<u,z>|^2] / (1 - |z|^2)^2
@@ -46,7 +47,8 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import EIG_MARGIN, DomainDescriptor, Kind, contains, _as_point
+from .domains import (_EDGE, _ROWS, DomainDescriptor, Kind, contains, _as_point,
+                      _row, _size)
 from .errors import (OutsideDomainError, UnsupportedMetricError, UsageError)
 from .estimates import EstimateInterval, exact
 
@@ -61,13 +63,9 @@ RHO_UPPER_PAD = QUAD_ABS_TOL
 # so only this shave of the gauge separates the envelopes
 _SHAVE = 1.0 - 1e-6
 
-# `contains` admits gauge < _EDGE; it sums |z|^2 in another order, which
-# moves the gauge by up to about eps, so chord ends keep _CHORD_SLACK inside.
-# The roots aim at _AIM, further in by the rounding of a computed end, so
-# that the first gauge check admits most of them.
-_EDGE = 1.0 - EIG_MARGIN
-_CHORD_SLACK = 4.0 * np.finfo(float).eps
-_AIM = _EDGE - 2.0 * _CHORD_SLACK
+# chord roots aim at _AIM, inside the edge by more than the rounding of a
+# computed end, so that the first gauge check admits most of them
+_AIM = _EDGE - 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,8 @@ class Geometry:
     form(Z, U)     H_z(u, u*) without assembling M, broadcast over the
                    leading axes of points Z and directions U
     q(Z, G)        Q_f per row from the gradients of f
-    gauge(Z)       Minkowski functional; the interior is gauge < 1
+    gauge(Z)       Minkowski functional from the domain table; the interior
+                   is gauge < 1 - EIG_MARGIN, as `contains` tests it
     distance(Z, W) Bergman distance rho(w, z) per row, broadcast over
                    leading axes; W=None (the default) is the origin
     roots(Z, E)    (lo, hi) per row: the t where z + t e meets gauge = _AIM
@@ -101,7 +100,7 @@ class Geometry:
         step = np.broadcast_to(np.finfo(float).eps / _size(E), T.shape).copy()
         while True:
             P = (Z + T[..., None] * E).reshape(-1, Z.shape[-1])
-            bad = (self.gauge(P) >= _EDGE - _CHORD_SLACK).reshape(T.shape) & (T != 0.0)
+            bad = _outside(self, P).reshape(T.shape) & (T != 0.0)
             if not bad.any():
                 return T[0], T[1]
             T[bad] = np.copysign(np.maximum(np.abs(T[bad]) - step[bad], 0.0), T[bad])
@@ -158,19 +157,6 @@ def _ball_q(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def _size(X: np.ndarray) -> np.ndarray:
-    """Euclidean size over the last axis, summed as np.linalg.norm sums
-    it, so that distances from the origin are arctanh(np.linalg.norm(z))
-    to the bit. Rows below 2^-450, whose squares would underflow, are
-    summed scaled by 2^600, which is exact."""
-    r = np.sqrt((X.conj() * X).real.sum(axis=-1))
-    if r.min(initial=1.0) < 2.0 ** -450:
-        tiny = r < 2.0 ** -450
-        Y = X[tiny] * 2.0 ** 600
-        r[tiny] = np.sqrt((Y.conj() * Y).real.sum(axis=-1)) * 2.0 ** -600
-    return r
-
-
 def _ball_distance(Z: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
     """arctanh |phi_w(z)| over the last axis (the disk is one column);
     W=None is the origin, where phi_0(z) = -z. With delta = z - w and
@@ -208,10 +194,6 @@ def _coord_distance(Z: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
     return np.hypot.reduce(L, axis=-1)
 
 
-def _max_modulus(Z: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(Z), axis=1)
-
-
 def _ball_roots(Z: np.ndarray, E: np.ndarray):
     """The t with |z + t e| = _AIM over the last axis (the disk is one
     column): a t^2 + 2 b t + c = 0 with c < 0 inside, solved without
@@ -233,12 +215,12 @@ def _coord_roots(Z: np.ndarray, E: np.ndarray):
 
 
 _GEOMETRY = {
-    Kind.DISK: Geometry(_coord_matrix, _coord_form, _coord_q, _size, _ball_distance,
-                        _ball_roots),
-    Kind.BALL: Geometry(_ball_matrix, _ball_form, _ball_q, _size, _ball_distance,
-                        _ball_roots),
-    Kind.POLYDISK: Geometry(_coord_matrix, _coord_form, _coord_q, _max_modulus,
-                            _coord_distance, _coord_roots),
+    Kind.DISK: Geometry(_coord_matrix, _coord_form, _coord_q, _ROWS[Kind.DISK].gauge,
+                        _ball_distance, _ball_roots),
+    Kind.BALL: Geometry(_ball_matrix, _ball_form, _ball_q, _ROWS[Kind.BALL].gauge,
+                        _ball_distance, _ball_roots),
+    Kind.POLYDISK: Geometry(_coord_matrix, _coord_form, _coord_q,
+                            _ROWS[Kind.POLYDISK].gauge, _coord_distance, _coord_roots),
 }
 
 
@@ -246,9 +228,8 @@ _GEOMETRY = {
 def _product_geometry(d: DomainDescriptor) -> Geometry:
     """Block composition: the metric is block diagonal, forms and Q^2 add
     up over factors, and so do squared distances (summed by hypot, which
-    does not underflow). A point is interior when every factor is, so the
-    gauge is the largest factor gauge and the chord is the intersection
-    of the factor chords."""
+    does not underflow). The chord is the intersection of the factor
+    chords; the gauge, the largest factor gauge, is the domain table's."""
     parts = [(s, t, geometry(f)) for s, t, f in d.factor_slices()]
     n = d.ambient_dim
 
@@ -264,9 +245,6 @@ def _product_geometry(d: DomainDescriptor) -> Geometry:
     def q(Z, G):
         return np.sqrt(sum(g.q(Z[:, s:t], G[:, s:t]) ** 2 for s, t, g in parts))
 
-    def gauge(Z):
-        return np.max(np.stack([g.gauge(Z[:, s:t]) for s, t, g in parts]), axis=0)
-
     def distance(Z, W=None):
         return np.hypot.reduce(np.stack(
             [g.distance(Z[..., s:t], None if W is None else W[..., s:t])
@@ -276,7 +254,7 @@ def _product_geometry(d: DomainDescriptor) -> Geometry:
         lo, hi = zip(*(g.roots(Z[..., s:t], E[..., s:t]) for s, t, g in parts))
         return np.max(lo, axis=0), np.min(hi, axis=0)
 
-    return Geometry(matrix, form, q, gauge, distance, roots)
+    return Geometry(matrix, form, q, _row(d).gauge, distance, roots)
 
 
 def _require_metric(d: DomainDescriptor):
@@ -415,7 +393,7 @@ def _gk21(geo: Geometry, A: np.ndarray, U: np.ndarray, seg: np.ndarray,
 
 
 def _outside(geo: Geometry, Z: np.ndarray) -> np.ndarray:
-    """Per row: not strictly interior, by the margin `contains` uses."""
+    """Per row: not strictly interior; `contains` makes this same test."""
     return geo.gauge(Z) >= _EDGE
 
 

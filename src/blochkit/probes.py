@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bloch import omega_empirical_lower
-from .domains import (DomainDescriptor, Kind, sample_interior,
+from .domains import (_ROWS, DomainDescriptor, sample_interior,
                       sample_near_distinguished_boundary)
 from .errors import UnsupportedDomainError, UsageError
 from .estimates import DEFAULT_EPS_LADDER, SamplingConfig
@@ -22,7 +22,8 @@ from .symbols import SymbolExpr, coordinate, format_complex
 PROBES = ("omega-vs-rho", "omega-vs-omega0", "omega0-blowup",
           "norm-sharpness")
 
-_ALLOWED = (Kind.DISK, Kind.BALL, Kind.POLYDISK)
+# the metric-supported kinds of the domain table; no products
+_ALLOWED = tuple(k for k, row in _ROWS.items() if row.gauge is not None)
 
 
 def _check_domain(d: DomainDescriptor):

@@ -32,7 +32,7 @@ from blochkit import (
     sigma_upper_poly,
 )
 from blochkit import bloch
-from blochkit.bloch import AGAINST, CONSISTENT, _golden_max, _refine_max
+from blochkit.bloch import _INVPHI, AGAINST, CONSISTENT, _refine_max
 from blochkit.metric import geometry
 from blochkit.estimates import SamplingConfig
 from blochkit.errors import OutsideDomainError, UsageError
@@ -218,6 +218,25 @@ REFINE_CASES = (
     (polydisk(2), mkpoly(2, {(1, 1): 1.0, (0, 2): 0.5j})),
     (product(ball(2), disk()), mkpoly(3, {(1, 0, 1): 1.0, (0, 2, 0): -0.6})),
 )
+
+
+def _golden_max(fun, lo, hi, iters):
+    """Scalar golden-section maximisation on [lo, hi]: the reference for
+    one row of `_refine_max`."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    e = a + _INVPHI * (b - a)
+    fc, fe = fun(c), fun(e)
+    for _ in range(iters):
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + _INVPHI * (b - a)
+            fe = fun(e)
+    return (c, fc) if fc >= fe else (e, fe)
 
 
 def _pointwise_refine(d, objective, z, iters):

@@ -19,7 +19,7 @@ from blochkit import (
     sample_interior,
     segment_from_origin,
 )
-from blochkit.domains import EIG_MARGIN, _METRIC_KINDS, contains
+from blochkit.domains import _ROWS, EIG_MARGIN, Kind, contains
 from blochkit.errors import OutsideDomainError, UnsupportedMetricError, UsageError
 from blochkit.metric import (
     _GEOMETRY,
@@ -94,8 +94,10 @@ def test_metric_form_matches_matrix():
             assert H[i, j] == pytest.approx(e, rel=1e-12)
 
 
-def test_geometry_table_covers_the_metric_kinds():
-    assert set(_GEOMETRY) == _METRIC_KINDS
+def test_domain_table_covers_the_kinds_and_geometry_the_gauges():
+    # one row per kind but the product, which composes its factors' rows
+    assert set(_ROWS) == set(Kind) - {Kind.PRODUCT}
+    assert set(_GEOMETRY) == {k for k, row in _ROWS.items() if row.gauge is not None}
 
 
 def test_bergman_metric_object():
@@ -191,15 +193,24 @@ def test_radial_lengths_near_the_boundary():
 
 @pytest.mark.parametrize("d", METRIC_DOMAINS, ids=str)
 def test_batched_membership_matches_contains(d):
-    rng = np.random.default_rng(12)
     n = d.ambient_dim
     geo = geometry(d)
-    raw = rng.standard_normal((10_000, n)) + 1j * rng.standard_normal((10_000, n))
-    unit = raw / geo.gauge(raw)[:, None]  # gauge is 1-homogeneous
-    radii = rng.uniform(0.95, 1.05, len(unit))
     edge = 1.0 - EIG_MARGIN
+
+    def directions(rng, count):
+        raw = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        return raw / geo.gauge(raw)[:, None]  # gauge is 1-homogeneous
+
+    rng = np.random.default_rng(12)
+    unit = directions(rng, 10_000)
+    radii = rng.uniform(0.95, 1.05, len(unit))
     radii[:2000] = edge + rng.choice([-1e-9, 1e-9, -1e-13, 1e-13], 2000)
-    Z = radii[:, None] * unit
+    # and radii within 4 ulps of the edge, where rounding decides
+    rng = np.random.default_rng(5)
+    near = directions(rng, 4000)
+    ulps = rng.integers(-4, 5, len(near))
+    Z = np.vstack([radii[:, None] * unit,
+                   (edge + ulps * np.spacing(edge))[:, None] * near])
     expected = np.array([not contains(d, z) for z in Z])
     np.testing.assert_array_equal(_outside(geo, Z), expected)
     assert 0 < expected.sum() < len(Z)
