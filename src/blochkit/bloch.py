@@ -5,10 +5,12 @@ Q_f(z) is the supremum over nonzero directions u of
 |grad f(z) . u| / H_z(u, u*)^(1/2); its closed forms live in the
 geometry table of `metric`.
 
-A sampled supremum (`_sup_estimate`) is the max of a batched objective
+A sampled supremum (`_sup_estimates`) is the max of a batched objective
 over stratified samples, raised by golden-section line searches from the
-best samples. The restarts search in lockstep, each line cut to its
-closed-form chord: one batched gauge check and objective call per step.
+best samples. Objectives sharing a domain and a config (a battery, a
+power ladder) share one draw, and the restarts of all of them search in
+lockstep, each line cut to its closed-form chord: one batched gauge
+check per step and one call of each objective on its own rows.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import atanh, inf, sqrt
 
 import numpy as np
@@ -130,24 +133,33 @@ def beta_upper_poly(f: Polynomial) -> float:
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_max(d: DomainDescriptor, objective, Z0: np.ndarray,
+def _refine_max(d: DomainDescriptor, objectives, starts,
                 iters: int) -> tuple[np.ndarray, np.ndarray]:
     """One coordinatewise golden-section pass over 2n real coordinates for
-    every row of Z0 in lockstep, each line cut to its chord. Each row runs
-    a golden-section search of `iters` steps on its chord [a, b], keeping
-    the side of the larger of its two inner values (the left one on ties);
-    each step is one objective call over all rows, after one gauge check.
-    Returns the best value and point per row."""
+    all rows of `starts` (one array of rows per objective) in lockstep,
+    each line cut to its chord. Each row runs a golden-section search of
+    `iters` steps on its chord [a, b], keeping the side of the larger of
+    its two inner values (the left one on ties). A step is one gauge check
+    over all rows, then one call of each objective on its own live rows
+    alone, as a kernel's last bits can depend on its batch. Returns the
+    best value and point per row, the groups stacked in order."""
     geo = geometry(d)
-    Z = np.array(Z0, dtype=np.complex128)
+    Z = np.concatenate(starts).astype(np.complex128)
     n = Z.shape[1]
+    ends = np.cumsum([0] + [len(s) for s in starts])
 
-    def fun(X):
-        if _outside(geo, X).any():
+    def fun(P, cuts):
+        # P is (..., rows, n); rows cuts[k]:cuts[k + 1] belong to objective k
+        if _outside(geo, P.reshape(-1, n)).any():
             raise OutsideDomainError(f"point not interior to {d}")
-        return objective(X)
+        out = np.empty(P.shape[:-1])
+        for objective, s, t in zip(objectives, cuts, cuts[1:]):
+            if t > s:
+                X = P[..., s:t, :]
+                out[..., s:t] = objective(X.reshape(-1, n)).reshape(X.shape[:-1])
+        return out
 
-    best = fun(Z)
+    best = fun(Z, ends)
     for axis in range(2 * n):
         e = np.zeros(n, dtype=np.complex128)
         e[axis % n] = 1.0 if axis < n else 1.0j
@@ -156,9 +168,10 @@ def _refine_max(d: DomainDescriptor, objective, Z0: np.ndarray,
         if not len(live):
             continue
         Zl, a, b = Z[live], lo[live], hi[live]
+        cuts = np.searchsorted(live, ends)
 
         def line(T):
-            return fun((Zl + T[..., None] * e).reshape(-1, n)).reshape(T.shape)
+            return fun(Zl + T[..., None] * e, cuts)
 
         c, x = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
         fc, fx = line(np.stack([c, x]))
@@ -177,24 +190,43 @@ def _refine_max(d: DomainDescriptor, objective, Z0: np.ndarray,
     return best, Z
 
 
-def _sup_estimate(d: DomainDescriptor, objective_batch, objective_rows,
-                  cfg: SamplingConfig) -> tuple[float, np.ndarray, int]:
-    """Shared sampled-sup machinery: `objective_batch` over stratified
-    samples, then golden refinement from the best points through
-    `objective_rows`, all restarts at once. Returns (max, argmax, evals).
-    Callers pass one batch function twice: perfbench's tracer wraps this
-    signature and times the first as the scan (until ROADMAP item 3)."""
+def _sup_estimates(d: DomainDescriptor, batches, rows,
+                   cfg: SamplingConfig) -> list[tuple[float, np.ndarray, int]]:
+    """Sampled sups of several objectives from one stratified draw, which
+    `batches[k]` scans; refinement from the best points goes through
+    `rows[k]`, jointly. Returns (max, argmax, evals) per objective."""
     Z = sample_interior(d, cfg.samples, cfg.seed, cfg.shells)
-    vals = objective_batch(Z)
-    order = np.argsort(vals)[::-1]
-    best = float(vals[order[0]])
-    argmax = Z[order[0]].copy()
-    top = order[: cfg.refine_restarts]
-    if len(top):
-        for val, pt in zip(*_refine_max(d, objective_rows, Z[top], cfg.refine_iters)):
+    scans = [batch(Z) for batch in batches]
+    orders = [np.argsort(vals)[::-1] for vals in scans]
+    starts = [Z[order[: cfg.refine_restarts]] for order in orders]
+    refined = iter(())
+    if any(map(len, starts)):
+        refined = zip(*_refine_max(d, rows, starts, cfg.refine_iters))
+    out = []
+    for vals, order, start in zip(scans, orders, starts):
+        best, argmax = float(vals[order[0]]), Z[order[0]].copy()
+        for val, pt in islice(refined, len(start)):
             if val > best:
                 best, argmax = float(val), pt
-    return best, argmax, len(vals)
+        out.append((best, argmax, len(vals)))
+    return out
+
+
+def _sup_estimate(d: DomainDescriptor, objective_batch, objective_rows,
+                  cfg: SamplingConfig) -> tuple[float, np.ndarray, int]:
+    """One objective's `_sup_estimates`. Callers pass one batch function
+    twice: perfbench's tracer wraps this signature and times the first as
+    the scan."""
+    return _sup_estimates(d, [objective_batch], [objective_rows], cfg)[0]
+
+
+def _beta_lowers(d: DomainDescriptor, fs, cfg: SamplingConfig) -> list[float]:
+    """`beta_estimate(d, f, cfg).lower` for every f in fs, from one draw
+    and one joint refinement."""
+    moving = [f for f in fs if is_constant(f) is None]
+    objectives = [lambda Z, f=f: q_values(d, f, Z) for f in moving]
+    found = iter(_sup_estimates(d, objectives, objectives, cfg))
+    return [0.0 if is_constant(f) is not None else next(found)[0] for f in fs]
 
 
 def beta_estimate(d: DomainDescriptor, f: SymbolExpr,

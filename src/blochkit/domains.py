@@ -475,17 +475,30 @@ def sample_interior(d: DomainDescriptor, count: int, seed: int,
     [shell, next shell). Per-shell substreams keep the first half of a
     doubled draw identical, so sampled suprema never shrink when the
     sample count grows. A product stratifies each factor on its own
-    substream.
+    substream. The array is read-only: the last draw is remembered and
+    handed out again to a call with the same domain, count, seed and
+    shells.
     """
     if count < 1:
         raise UsageError("sample count must be >= 1")
+    shells = tuple(float(s) for s in shells)
+    if not shells or any(not (0.0 <= s < 1.0) for s in shells):
+        raise UsageError("shells must be a nonempty list in [0, 1)")
+    return _draw(d, count, seed, shells)
+
+
+@lru_cache(maxsize=1)
+def _draw(d: DomainDescriptor, count: int, seed: int,
+          shells: tuple[float, ...]) -> np.ndarray:
     if d.factors:
         out = np.empty((count, d.ambient_dim), dtype=np.complex128)
         for i, (s, t, f) in enumerate(d.factor_slices()):
             sub = np.random.SeedSequence(entropy=seed, spawn_key=(101, i))
             out[:, s:t] = _stratified(f, count, sub, shells)
-        return out
-    return _stratified(d, count, np.random.SeedSequence(entropy=seed), shells)
+    else:
+        out = _stratified(d, count, np.random.SeedSequence(entropy=seed), shells)
+    out.flags.writeable = False
+    return out
 
 
 def _stratified(d: DomainDescriptor, count: int, ss: np.random.SeedSequence,
@@ -519,6 +532,8 @@ def sample_near_distinguished_boundary(d: DomainDescriptor, count: int,
     """
     if not (0.0 < eps < 1.0):
         raise UsageError("eps must be in (0, 1)")
+    if count < 1:
+        raise UsageError("sample count must be >= 1")
     boundary = _row(d).boundary
     if boundary is None:
         raise UnsupportedDomainError(f"no distinguished-boundary sampler for {d}")

@@ -75,8 +75,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
-        if any(not (0.0 <= s < 1.0) for s in self.shells):
-            raise UsageError("shells must lie in [0, 1)")
+        if not self.shells or any(not (0.0 <= s < 1.0) for s in self.shells):
+            raise UsageError("shells must be a nonempty list in [0, 1)")
 
     def with_(self, **kw) -> "SamplingConfig":
         base = dict(samples=self.samples, seed=self.seed, shells=self.shells,

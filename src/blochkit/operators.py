@@ -22,7 +22,7 @@ from math import inf, isinf
 import numpy as np
 
 # q_value is unused here, but perfbench's tracer patches this binding
-from .bloch import (AGAINST, _sup_estimate, beta_estimate,  # noqa: F401
+from .bloch import (AGAINST, _beta_lowers, _sup_estimate,  # noqa: F401
                     beta_upper_poly, bloch_norm_estimate,
                     little_star_membership_diagnostic, q_value, q_values)
 from .constants import in_class_D, resolved_constant
@@ -264,14 +264,14 @@ def empirical_opnorm_lower(d: DomainDescriptor, psi: SymbolExpr,
     """Operator-norm lower bound from a battery of certified test
     functions: max over f of lower(||psi f||_B) / upper(||f||_B)."""
     _require_metric(d)
+    zero = np.zeros(d.ambient_dim)
+    pairs = [(combine("product", psi, f), denom) for f in _battery(d, nfuncs, seed)
+             if (denom := _bloch_norm_ceiling(d, f)) > 0]
+    betas = _beta_lowers(d, [prod for prod, _ in pairs], cfg)
     best = 0.0
-    for f in _battery(d, nfuncs, seed):
-        denom = _bloch_norm_ceiling(d, f)
-        if denom <= 0:
-            continue
-        prod = combine("product", psi, f)
-        num = bloch_norm_estimate(d, prod, cfg).lower
-        best = max(best, num / denom)
+    for (prod, denom), beta in zip(pairs, betas):
+        # the Bloch-norm lower of bloch_norm_estimate: |f(0)| + seminorm
+        best = max(best, (abs(evaluate(prod, zero)) + beta) / denom)
     return best
 
 
@@ -451,14 +451,16 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
             # evidence rows only, never a verdict input: sample coarsely
             small = cfg.with_(samples=max(256, cfg.samples // 16),
                               refine_restarts=1, refine_iters=12)
+            powers_of_psi = {}
             for k in (1, 2, 4, 8, 16):
                 if k > k_max:
                     break
                 try:
-                    pk = combine("power", psi, k)
+                    powers_of_psi[k] = combine("power", psi, k)
                 except UsageError:
                     break  # power would cross the degree cap
-                betas[k] = beta_estimate(d, pk, small).lower
+            betas = dict(zip(powers_of_psi,
+                             _beta_lowers(d, list(powers_of_psi.values()), small)))
         return IsometryReport(
             "not-isometry",
             "non-constant symbol on a domain with seminorm ceiling below one",

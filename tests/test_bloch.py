@@ -259,17 +259,33 @@ def _pointwise_refine(d, objective, z, iters):
 
 @pytest.mark.parametrize("d,f", REFINE_CASES, ids=[str(d) for d, _ in REFINE_CASES])
 def test_lockstep_refinement_equals_one_row_runs(d, f):
-    # the rounded objective has plateaus, so ties between golden points occur
-    for objective in (lambda Z: q_values(d, f, Z), lambda Z: np.round(q_values(d, f, Z), 2)):
-        Z0 = sample_interior(d, 4, seed=9)
-        best, points = _refine_max(d, objective, Z0, 20)
-        for i in range(len(Z0)):
-            b1, p1 = _refine_max(d, objective, Z0[i:i + 1], 20)
-            assert best[i:i + 1].tobytes() == b1.tobytes()
-            assert points[i:i + 1].tobytes() == p1.tobytes()
-            b2, p2 = _pointwise_refine(d, objective, Z0[i], 20)
-            assert best[i:i + 1].tobytes() == np.float64(b2).tobytes()
-            assert points[i].tobytes() == p2.tobytes()
+    def exact(Z):
+        return q_values(d, f, Z)
+
+    def rounded(Z):
+        # plateaus, so ties between golden points occur
+        return np.round(q_values(d, f, Z), 2)
+
+    Z0 = sample_interior(d, 4, seed=9)
+    # the last input searches two objectives jointly, from 4 and 3 starts
+    for objectives in ([exact], [rounded], [exact, rounded]):
+        starts = [Z0[k:] for k in range(len(objectives))]
+        best, points = _refine_max(d, objectives, starts, 20)
+        row = 0
+        for objective, start in zip(objectives, starts):
+            for i in range(len(start)):
+                b1, p1 = _refine_max(d, [objective], [start[i:i + 1]], 20)
+                assert best[row:row + 1].tobytes() == b1.tobytes()
+                assert points[row:row + 1].tobytes() == p1.tobytes()
+                b2, p2 = _pointwise_refine(d, objective, start[i], 20)
+                assert best[row:row + 1].tobytes() == np.float64(b2).tobytes()
+                assert points[row].tobytes() == p2.tobytes()
+                row += 1
+            alone = _refine_max(d, [objective], [start], 20)
+            group = slice(row - len(start), row)
+            assert best[group].tobytes() == alone[0].tobytes()
+            assert points[group].tobytes() == alone[1].tobytes()
+        assert row == len(best)
 
 
 @pytest.mark.parametrize("d,f", REFINE_CASES, ids=[str(d) for d, _ in REFINE_CASES])
@@ -286,30 +302,50 @@ def test_refinement_raises_the_scan_within_the_certificates(d, f, fast_cfg):
 
 def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
     d = ball(3)
-    f = mkpoly(3, {(1, 0, 0): 0.5, (1, 1, 0): 1.0 - 1.0j, (0, 0, 3): 0.3})
+    fs = [mkpoly(3, {(1, 0, 0): 0.5, (1, 1, 0): 1.0 - 1.0j, (0, 0, 3): 0.3}),
+          mkpoly(3, {(0, 2, 0): 0.8j, (1, 0, 1): -0.4}),
+          mkpoly(3, {(0, 0, 1): 1.0, (2, 1, 0): 0.3 + 0.3j})]
     n, iters = d.ambient_dim, 15
-    counts = {"contains": 0, "objective": 0}
-    real_contains, real_refine = bloch.contains, bloch._refine_max
+    counts = {"contains": 0, "gauge": 0, "objective": []}
+    real_contains, real_outside = bloch.contains, bloch._outside
+    real_refine = bloch._refine_max
 
     def counted_contains(*args):
         counts["contains"] += 1
         return real_contains(*args)
 
-    def counted_refine(d, objective, Z0, iters):
-        def counted(Z):
-            counts["objective"] += 1
-            return objective(Z)
-        return real_refine(d, counted, Z0, iters)
+    def counted_outside(*args):
+        counts["gauge"] += 1
+        return real_outside(*args)
+
+    def counted_refine(d, objectives, starts, iters):
+        calls = counts["objective"] = [0] * len(objectives)
+
+        def counted(k):
+            def call(Z):
+                calls[k] += 1
+                return objectives[k](Z)
+            return call
+        return real_refine(d, [counted(k) for k in range(len(objectives))],
+                           starts, iters)
 
     monkeypatch.setattr(bloch, "contains", counted_contains)
+    monkeypatch.setattr(bloch, "_outside", counted_outside)
     monkeypatch.setattr(bloch, "_refine_max", counted_refine)
     for restarts in (1, 3, 8):
-        counts.update(contains=0, objective=0)
         cfg = SamplingConfig(samples=500, seed=3, refine_restarts=restarts,
                              refine_iters=iters)
-        beta_estimate(d, f, cfg)
-        assert counts["contains"] == 0
-        assert 0 < counts["objective"] <= 2 * n * (iters + 2)
+        gauges = []
+        for run, k in ((lambda: beta_estimate(d, fs[0], cfg), 1),
+                       (lambda: bloch._beta_lowers(d, fs, cfg), len(fs))):
+            counts.update(contains=0, gauge=0)
+            run()
+            assert counts["contains"] == 0
+            assert len(counts["objective"]) == k
+            assert all(0 < c <= 2 * n * (iters + 2) for c in counts["objective"])
+            gauges.append(counts["gauge"])
+        # K objectives share every gauge check of one
+        assert 0 < gauges[0] == gauges[1]
 
 
 # ---------------------------------------------------------------- growth scale

@@ -257,6 +257,9 @@ def test_exit_code_usage_error(capsys, tmp_path):
     cfg.write_text(f"domain = ball:2\nsymbol = z1\nsamples = {10**12}\n")
     assert main(["beta", "--config", str(cfg)]) == 1
     assert "memory" in capsys.readouterr().err
+    cfg.write_text("domain = ball:2\nsymbol = z1\nsamples = 300\nshells =\n")
+    assert main(["beta", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: shells")
 
 
 def test_exit_code_numerical_domain_error(capsys):

@@ -18,6 +18,7 @@ from blochkit import (
     sample_interior,
     sample_near_distinguished_boundary,
 )
+from blochkit import domains
 from blochkit.errors import ParseError, UnsupportedDomainError, UsageError
 
 
@@ -184,6 +185,37 @@ def test_sample_interior_doubling_is_superset():
     assert not missing, f"{len(missing)} rows of the smaller draw absent from the doubled draw"
 
 
+@pytest.mark.parametrize("count,shells", [
+    (10, (0.0, 1.0)), (10, (0.0, 1.5)), (10, (-0.1, 0.5)), (10, ()), (10, []),
+    (0, (0.0, 0.5)), (-3, (0.0, 0.5)),
+])
+def test_sample_interior_validation(count, shells):
+    # a shell at or above 1 drew points outside the ball, and empty shells
+    # divided by zero
+    with pytest.raises(UsageError):
+        sample_interior(ball(2), count, 1, shells)
+
+
+def test_sample_interior_remembers_its_last_draw():
+    d = polydisk(2)
+    first = sample_interior(d, 50, seed=4)
+    again = sample_interior(d, 50, seed=4)
+    assert again.tobytes() == first.tobytes()
+    assert not again.flags.writeable
+    with pytest.raises(ValueError):
+        again[0, 0] = 0.0
+    # list and tuple shells, ints and floats, are one key
+    assert sample_interior(d, 50, 4, [0, 0.5]) is sample_interior(d, 50, 4, (0.0, 0.5))
+    for other in ((ball(2), 50, 4, (0.0, 0.5)), (d, 51, 4, (0.0, 0.5)),
+                  (d, 50, 5, (0.0, 0.5)), (d, 50, 4, (0.0, 0.9))):
+        sample_interior(d, 50, 4, (0.0, 0.5))
+        after = sample_interior(*other)
+        domains._draw.cache_clear()
+        fresh = sample_interior(*other)
+        assert after is not fresh
+        assert after.tobytes() == fresh.tobytes()
+
+
 def test_sample_interior_stratified_shells():
     # Points spread from the center out to very near the boundary.
     Z = sample_interior(disk(), 1000, seed=3)
@@ -216,6 +248,9 @@ def test_boundary_sampler_validation():
         sample_near_distinguished_boundary(disk(), 10, 0.0, seed=0)
     with pytest.raises(UsageError):
         sample_near_distinguished_boundary(disk(), 10, 1.0, seed=0)
+    for count in (0, -3):
+        with pytest.raises(UsageError):
+            sample_near_distinguished_boundary(ball(2), count, 0.1, seed=0)
     with pytest.raises(UnsupportedDomainError):
         sample_near_distinguished_boundary(cartan1(2, 2), 10, 0.1, seed=0)
 

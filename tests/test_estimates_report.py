@@ -73,6 +73,7 @@ def test_sampling_config_defaults_and_with():
         {"samples": -5},
         {"shells": (0.0, 1.0)},
         {"shells": (0.5, -0.1)},
+        {"shells": ()},
     ],
 )
 def test_sampling_config_validation(kwargs):

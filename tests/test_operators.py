@@ -7,8 +7,11 @@ import pytest
 from blochkit import (
     SamplingConfig,
     ball,
+    beta_estimate,
+    bloch_norm_estimate,
     boundedness_verdict,
     cartan1,
+    combine,
     compactness_verdict,
     constant,
     coordinate,
@@ -19,6 +22,7 @@ from blochkit import (
     isometry_verdict,
     norm_bounds,
     operator_report,
+    parse_domain,
     polydisk,
     q_value,
     sample_interior,
@@ -34,6 +38,8 @@ from blochkit.operators import (
     BOUNDED_EVIDENCE,
     INCONCLUSIVE,
     UNBOUNDED_EVIDENCE,
+    _battery,
+    _bloch_norm_ceiling,
 )
 from blochkit.symbols import LogFrac, parse_symbol
 
@@ -179,6 +185,33 @@ def test_empirical_opnorm_within_sandwich(fast_cfg):
     low = empirical_opnorm_lower(ball(2), psi, fast_cfg)
     assert nb.lower <= low + 1e-9
     assert low <= nb.upper + 1e-9
+
+
+@pytest.mark.parametrize("spec,psi", [
+    ("ball:2", mkpoly(2, {(1, 0): 0.5, (1, 1): 0.3 - 0.2j, (0, 3): 0.4j})),
+    ("polydisk:2", mkpoly(2, {(0, 0): 0.2, (2, 1): -0.7, (0, 1): 0.1 + 0.5j})),
+    ("ball:5", mkpoly(5, {(1, 0, 0, 0, 1): 0.6j, (0, 0, 2, 0, 0): -0.3, (0, 1, 0, 0, 0): 0.2})),
+])
+def test_families_match_their_members_bit_for_bit(spec, psi, fast_cfg):
+    # the battery and the power ladder search every member in one joint
+    # refinement; each member's figure must be that of its own estimate
+    d = parse_domain(spec)
+    reference = 0.0
+    for f in _battery(d, 8, 42):
+        denom = _bloch_norm_ceiling(d, f)
+        if denom > 0:
+            num = bloch_norm_estimate(d, combine("product", psi, f), fast_cfg).lower
+            reference = max(reference, num / denom)
+    assert repr(empirical_opnorm_lower(d, psi, fast_cfg, nfuncs=8)) == repr(reference)
+    betas = isometry_verdict(d, psi, fast_cfg).power_betas
+    if d.kind.value == "ball":
+        small = fast_cfg.with_(samples=max(256, fast_cfg.samples // 16),
+                               refine_restarts=1, refine_iters=12)
+        ladder = {k: beta_estimate(d, combine("power", psi, k), small).lower
+                  for k in (1, 2, 4, 8, 16)}
+        assert repr(betas) == repr(ladder)
+    else:
+        assert betas == {}  # a disk factor: no power ladder
 
 
 # ---------------------------------------------------------------- spectra
