@@ -3,7 +3,11 @@
 Every sampled supremum reduces to evaluating sum_t c_t prod_j z_j^p_tj
 and its gradient at the rows of Z. Both kernels start each term from its
 coefficient, multiply in its factors z_j^p (p != 0) in ascending j and
-add the terms onto zero in order, so their results are bit-identical:
+add the terms onto zero in order, so their results agree bit for bit on
+batches below 16 384 rows. From 16 384 complex128 rows (256 KiB) on,
+numpy elides the temporary of the loop's `term * Z[:, k] ** p` and
+multiplies in place, which can round the last bit differently; a row's
+loop result then depends on the batch it came in:
 
 - the power table, for calls with at most TABLE_MAX_POINTS points such
   as the batched refinement steps, computes z_j^k once and gathers

@@ -11,22 +11,24 @@ best samples. Objectives sharing a domain and a config (a battery, a
 power ladder) share one draw, and the restarts of all of them search in
 lockstep, each line cut to its closed-form chord: one batched gauge
 check per step and one call of each objective on its own rows.
+
+The extremal growth omega and its floors are reads of the geometry
+table: omega is the distance from the origin, the full-class floor is
+arctanh of the gauge and the *-little floor is `Geometry.growth(little=True)`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import atanh, inf, sqrt
+from math import inf, sqrt
 
 import numpy as np
 
-from .domains import (DomainDescriptor, Kind, _as_point, contains,
-                      polydisk as polydisk_domain, sample_interior,
-                      sample_near_distinguished_boundary)
-from .errors import (OutsideDomainError, UnsupportedMetricError, UsageError)
+from .domains import (DomainDescriptor, _as_point, _unit_directions,
+                      ball as ball_domain, contains, polydisk as polydisk_domain,
+                      sample_interior, sample_near_distinguished_boundary)
+from .errors import OutsideDomainError, UsageError
 from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
                         MODE_SAMPLED_LOWER, SamplingConfig, exact)
 from .metric import (RHO_UPPER_PAD, geometry, metric_matrix, rho_from_origin,
@@ -67,21 +69,9 @@ def q_value_via_metric(d: DomainDescriptor, f: SymbolExpr, z) -> float:
 
 
 @lru_cache(maxsize=16)
-def _sobol_directions(ndirs: int, n: int) -> np.ndarray:
-    """Unit directions in C^n from one scrambled Sobol set, built once per
-    (ndirs, n) and read-only."""
-    # slow to import: keep them out of `import blochkit`
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-    eng = qmc.Sobol(d=2 * n, scramble=True, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        x = eng.random(ndirs)
-    tiny = 2.0 ** -53
-    g = ndtri(np.clip(x, tiny, 1.0 - tiny))
-    u = g[:, :n] + 1j * g[:, n:]
-    u[~u.any(axis=1), 0] = 1.0  # a point of all halves gives a zero row
-    u /= np.linalg.norm(u, axis=1)[:, None]
+def _base_directions(ndirs: int, n: int) -> np.ndarray:
+    """Unit directions in C^n drawn once per (ndirs, n) from seed 0, read-only."""
+    u = _unit_directions(np.random.default_rng(0), ndirs, n)
     u.flags.writeable = False
     return u
 
@@ -89,8 +79,8 @@ def _sobol_directions(ndirs: int, n: int) -> np.ndarray:
 def q_value_oracle(d: DomainDescriptor, f: SymbolExpr, z, ndirs: int = 4096,
                    seed: int = 0) -> float:
     """Brute-force the direction supremum: max of the raw ratio
-    |grad f(z) . u| / H_z(u, u*)^(1/2) over quasi-random unit directions
-    plus the closed-form maximizing direction u = M^(-1) conj(g)."""
+    |grad f(z) . u| / H_z(u, u*)^(1/2) over random unit directions plus
+    the closed-form maximizing direction u = M^(-1) conj(g)."""
     if ndirs < 1:
         raise UsageError("ndirs must be >= 1")
     z = _as_point(d, z)
@@ -106,7 +96,7 @@ def q_value_oracle(d: DomainDescriptor, f: SymbolExpr, z, ndirs: int = 4096,
     Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     phases = np.diagonal(R) / np.abs(np.diagonal(R))
     ustar = np.linalg.solve(geo.matrix(z), np.conj(g))  # nonzero, as g is
-    U = np.vstack([_sobol_directions(ndirs, n) @ (Q * phases).T,
+    U = np.vstack([_base_directions(ndirs, n) @ (Q * phases).T,
                    ustar / np.linalg.norm(ustar)])
     num = np.abs(U @ g)
     den = np.sqrt(geo.form(z, U))
@@ -291,10 +281,7 @@ def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
 def omega_exact_ball(z) -> float:
     """Extremal growth on disk or ball: arctanh of the euclidean size."""
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    r = float(np.linalg.norm(z))
-    if r >= 1.0:
-        raise OutsideDomainError("point not interior to the ball")
-    return atanh(r)
+    return rho_from_origin(ball_domain(len(z)), z).lower
 
 
 def omega_polydisk_bounds(z) -> EstimateInterval:
@@ -304,81 +291,21 @@ def omega_polydisk_bounds(z) -> EstimateInterval:
     return rho_from_origin(polydisk_domain(len(z)), z)
 
 
-@dataclass(frozen=True)
-class _Witness:
-    """Admissible test function with a proved norm bound: vanishes at 0,
-    Bloch norm <= norm_upper; value/q are closed forms."""
-
-    name: str
-    value: float  # |w(z)| at the target point
-    norm_upper: float
-    little: bool
-
-
-# parameter size of the little-class witnesses: their quotient
-# arctanh(s m) / s increases in s (its derivative has the sign of
-# x / (1 - x^2) - arctanh x > 0 at x = s m), so the largest s kept below 1
-# gives the best bound
-_LITTLE_S = 1.0 - 1e-9
-
-
-def _coordinate_witnesses(sub: np.ndarray) -> list[_Witness]:
-    out = []
-    for k, c in enumerate(sub):
-        m = abs(c)
-        if m == 0.0:
-            continue
-        # h-form with parameter z_k evaluates to arctanh|z_k| with seminorm
-        # bound 1; f-form with |w| = s has Bloch norm <= s and lies in the
-        # *-little class
-        out += [_Witness(f"h[{k + 1}]", atanh(m), 1.0, False),
-                _Witness(f"fw[{k + 1}]", atanh(_LITTLE_S * m), _LITTLE_S, True)]
-    return out
-
-
-def _direction_witnesses(sub: np.ndarray) -> list[_Witness]:
-    r = float(np.linalg.norm(sub))
-    if r == 0.0:
-        return []
-    # log-direction forms, and the aligned linear polynomial of seminorm 1
-    return [_Witness("logdir", atanh(r), 1.0, False),
-            _Witness("logdir-little", atanh(_LITTLE_S * r), _LITTLE_S, True),
-            _Witness("linear", r, 1.0, True)]
-
-
-def _omega_witnesses(d: DomainDescriptor, z: np.ndarray) -> list[_Witness]:
-    out: list[_Witness] = []
-    for s, t, f in d.factor_slices():
-        sub = z[s:t]
-        if f.kind in (Kind.DISK, Kind.POLYDISK):
-            out.extend(_coordinate_witnesses(sub))
-            nrm = float(np.linalg.norm(sub))
-            if nrm > 0 and f.kind is Kind.DISK:
-                out.append(_Witness("linear", nrm, 1.0, True))
-        elif f.kind is Kind.BALL:
-            out.extend(_direction_witnesses(sub))
-        else:
-            raise UnsupportedMetricError(f"no omega witnesses for {f}")
-    return out
-
-
 def omega_empirical_lower(d: DomainDescriptor, z,
                           cfg: SamplingConfig = SamplingConfig(),
                           little: bool = False) -> float:
-    """Certified lower bound for the extremal growth at z: the best
-    |w(z)| / norm bound over the admissible witness family. With
-    little=True only witnesses in the *-little class are used."""
-    _require_metric(d)
+    """Certified lower bound for the extremal growth at z from one test
+    function: the logarithmic witness of the largest factor, of Bloch
+    norm 1, which reaches arctanh of the gauge. With little=True, the
+    floor `Geometry.growth(little=True)` from the *-little class. `cfg`
+    is accepted and unused."""
+    geo = geometry(d)
     z = _as_point(d, z)
     if not contains(d, z):
         raise OutsideDomainError(f"point not interior to {d}")
-    best = 0.0
-    for w in _omega_witnesses(d, z):
-        if little and not w.little:
-            continue
-        if w.norm_upper > 0:
-            best = max(best, w.value / w.norm_upper)
-    return best
+    if little:
+        return float(geo.growth(z[None], little=True)[0])
+    return float(np.arctanh(geo.gauge(z[None]))[0])
 
 
 def omega_bounds(d: DomainDescriptor, z) -> EstimateInterval:

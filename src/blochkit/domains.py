@@ -222,10 +222,12 @@ def _as_point(d: DomainDescriptor, z) -> np.ndarray:
 
 
 def _size(X: np.ndarray) -> np.ndarray:
-    """Euclidean size over the last axis, summed as np.linalg.norm sums
-    it, so that distances from the origin are arctanh(np.linalg.norm(z))
-    to the bit. Rows below 2^-450, whose squares would underflow, are
-    summed scaled by 2^600, which is exact."""
+    """Euclidean size over the last axis, summed as the batched
+    np.linalg.norm(Z, axis=-1) sums it, so that distances from the origin
+    are arctanh of that norm to the bit. The 1-D np.linalg.norm(z) sums
+    the real and imaginary parts apart and can differ in the last bit.
+    Rows below 2^-450, whose squares would underflow, are summed scaled
+    by 2^600, which is exact."""
     r = np.sqrt((X.conj() * X).real.sum(axis=-1))
     if r.min(initial=1.0) < 2.0 ** -450:
         tiny = r < 2.0 ** -450

@@ -59,9 +59,11 @@ QUAD_ABS_TOL = 1e-8
 RHO_UPPER_PAD = QUAD_ABS_TOL
 
 # the vanishing-class lower growth only uses test functions from the
-# little class; on disk and ball the two growths coincide in the limit,
-# so only this shave of the gauge separates the envelopes
-_SHAVE = 1.0 - 1e-6
+# little class: the logarithmic witness of parameter size s < 1 gives
+# arctanh(s g) / s at gauge g. That quotient increases in s (its
+# derivative has the sign of x / (1 - x^2) - arctanh x > 0 at x = s g),
+# so the largest s kept below 1 gives the tightest floor
+_SHAVE = 1.0 - 1e-9
 
 # chord roots aim at _AIM, inside the edge by more than the rounding of a
 # computed end, so that the first gauge check admits most of them

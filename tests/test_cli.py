@@ -335,9 +335,11 @@ def test_import_leaves_scipy_optimize_and_integrate_unloaded():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.special are slow to import, and only the
-    # direction oracle needs them
+    # scipy.stats and scipy.special are slow to import, and nothing in the
+    # package needs them, the direction oracle included
     code = ("import sys, blochkit; "
+            "blochkit.q_value_oracle(blochkit.ball(2), blochkit.parse_symbol('z1*z2', 2), "
+            "(0.3, 0.1j), ndirs=64); "
             "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ))

@@ -126,9 +126,14 @@ def test_growth_sandwich(k, raw, radius):
     rho = rho_from_origin(d, z)
     witness = omega_empirical_lower(d, z)
     assert rho.lower == rho.upper == pytest.approx(math.hypot(*L), rel=1e-12)
+    little = float(geometry(d).growth(z.reshape(1, -1), little=True)[0])
+    # the witness floor is the one-factor floor, and the little floor is
+    # the geometry table's
     assert max(L) <= witness + 1e-9
+    assert witness <= max(L) + 1e-12
     assert witness <= rho.upper + 1e-9
-    assert float(geometry(d).growth(z.reshape(1, -1), little=True)[0]) <= rho.lower
+    assert omega_empirical_lower(d, z, little=True) == little
+    assert little <= rho.lower
 
 
 def _point(d, raw, radius):
