@@ -7,10 +7,13 @@ geometry table of `metric`.
 
 A sampled supremum (`_sup_estimates`) is the max of a batched objective
 over stratified samples, raised by golden-section line searches from the
-best samples. Objectives sharing a domain and a config (a battery, a
-power ladder) share one draw, and the restarts of all of them search in
-lockstep, each line cut to its closed-form chord: one batched gauge
-check per step and one call of each objective on its own rows.
+best samples. Objectives sharing a domain and a config form a family
+with one draw: the operator-norm battery (`_beta_lowers`), and the
+functions of one symbol's modulus and Q (`_symbol_sups`: the isometry
+power ladder and the norm sandwich). The restarts of all members search
+in lockstep, each line cut to its closed-form chord: one batched gauge
+check per step and one family call over all rows, each row valued by its
+own member.
 
 The extremal growth omega and its floors are reads of the geometry
 table: omega is the distance from the origin, the full-class floor is
@@ -34,7 +37,7 @@ from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
 from .metric import (RHO_UPPER_PAD, geometry, metric_matrix, rho_from_origin,
                      _outside, _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
-                      gradient, gradient_many, is_constant)
+                      gradient, gradient_family, gradient_many, is_constant)
 
 CONSISTENT = "consistent-with-membership"
 AGAINST = "evidence-against"
@@ -123,33 +126,27 @@ def beta_upper_poly(f: Polynomial) -> float:
 _INVPHI = (sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_max(d: DomainDescriptor, objectives, starts,
+def _refine_max(d: DomainDescriptor, rows, starts,
                 iters: int) -> tuple[np.ndarray, np.ndarray]:
     """One coordinatewise golden-section pass over 2n real coordinates for
-    all rows of `starts` (one array of rows per objective) in lockstep,
-    each line cut to its chord. Each row runs a golden-section search of
-    `iters` steps on its chord [a, b], keeping the side of the larger of
-    its two inner values (the left one on ties). A step is one gauge check
-    over all rows, then one call of each objective on its own live rows
-    alone, as a kernel's last bits can depend on its batch. Returns the
-    best value and point per row, the groups stacked in order."""
+    all rows of `starts` (one array of rows per member of a family) in
+    lockstep, each line cut to its chord. Each row runs a golden-section
+    search of `iters` steps on its chord [a, b], keeping the side of the
+    larger of its two inner values (the left one on ties). A step is one
+    gauge check over all rows, then one call rows(P, which) of the
+    family's objective, which values member which[i] at P[i]. Returns the
+    best value and point per row, the members stacked in order."""
     geo = geometry(d)
     Z = np.concatenate(starts).astype(np.complex128)
     n = Z.shape[1]
-    ends = np.cumsum([0] + [len(s) for s in starts])
+    which = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
 
-    def fun(P, cuts):
-        # P is (..., rows, n); rows cuts[k]:cuts[k + 1] belong to objective k
-        if _outside(geo, P.reshape(-1, n)).any():
+    def fun(P, which):
+        if _outside(geo, P).any():
             raise OutsideDomainError(f"point not interior to {d}")
-        out = np.empty(P.shape[:-1])
-        for objective, s, t in zip(objectives, cuts, cuts[1:]):
-            if t > s:
-                X = P[..., s:t, :]
-                out[..., s:t] = objective(X.reshape(-1, n)).reshape(X.shape[:-1])
-        return out
+        return rows(P, which)
 
-    best = fun(Z, ends)
+    best = fun(Z, which)
     for axis in range(2 * n):
         e = np.zeros(n, dtype=np.complex128)
         e[axis % n] = 1.0 if axis < n else 1.0j
@@ -157,14 +154,16 @@ def _refine_max(d: DomainDescriptor, objectives, starts,
         live = np.flatnonzero(hi - lo > 1e-14)
         if not len(live):
             continue
-        Zl, a, b = Z[live], lo[live], hi[live]
-        cuts = np.searchsorted(live, ends)
+        Zl, a, b, wl = Z[live], lo[live], hi[live], which[live]
 
         def line(T):
-            return fun(Zl + T[..., None] * e, cuts)
+            return fun(Zl + T[:, None] * e, wl)
 
         c, x = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-        fc, fx = line(np.stack([c, x]))
+        # both first inner points in one call
+        both = np.concatenate([c, x])
+        fc, fx = np.split(fun(np.concatenate([Zl, Zl]) + both[:, None] * e,
+                              np.concatenate([wl, wl])), 2)
         for _ in range(iters):
             # fc >= fx: the bracket ends at x, c moves to x's slot and the
             # new point takes c's; otherwise the mirror image
@@ -180,13 +179,15 @@ def _refine_max(d: DomainDescriptor, objectives, starts,
     return best, Z
 
 
-def _sup_estimates(d: DomainDescriptor, batches, rows,
+def _sup_estimates(d: DomainDescriptor, values, rows,
                    cfg: SamplingConfig) -> list[tuple[float, np.ndarray, int]]:
-    """Sampled sups of several objectives from one stratified draw, which
-    `batches[k]` scans; refinement from the best points goes through
-    `rows[k]`, jointly. Returns (max, argmax, evals) per objective."""
+    """Sampled sups of the K members of a family from one stratified
+    draw: values(Z) gives every member at every row of Z, shape (K, m),
+    and refinement from each member's best points goes through
+    rows(P, which) (see `_refine_max`). Returns (max, argmax, evals) per
+    member."""
     Z = sample_interior(d, cfg.samples, cfg.seed, cfg.shells)
-    scans = [batch(Z) for batch in batches]
+    scans = values(Z)
     orders = [np.argsort(vals)[::-1] for vals in scans]
     starts = [Z[order[: cfg.refine_restarts]] for order in orders]
     refined = iter(())
@@ -207,16 +208,60 @@ def _sup_estimate(d: DomainDescriptor, objective_batch, objective_rows,
     """One objective's `_sup_estimates`. Callers pass one batch function
     twice: perfbench's tracer wraps this signature and times the first as
     the scan."""
-    return _sup_estimates(d, [objective_batch], [objective_rows], cfg)[0]
+    return _sup_estimates(d, lambda Z: objective_batch(Z)[None],
+                          lambda P, which: objective_rows(P), cfg)[0]
 
 
 def _beta_lowers(d: DomainDescriptor, fs, cfg: SamplingConfig) -> list[float]:
     """`beta_estimate(d, f, cfg).lower` for every f in fs, from one draw
-    and one joint refinement."""
+    and one joint refinement whose steps take all gradients from one
+    `gradient_family` call."""
     moving = [f for f in fs if is_constant(f) is None]
-    objectives = [lambda Z, f=f: q_values(d, f, Z) for f in moving]
-    found = iter(_sup_estimates(d, objectives, objectives, cfg))
+    if not moving:
+        return [0.0] * len(fs)
+    grad, q = gradient_family(moving), geometry(d).q
+
+    def values(Z):
+        return np.stack([q_values(d, f, Z) for f in moving])
+
+    def rows(P, which):
+        return q(P, grad(P, which))
+
+    found = iter(_sup_estimates(d, values, rows, cfg))
     return [0.0 if is_constant(f) is not None else next(found)[0] for f in fs]
+
+
+def _symbol_sups(d: DomainDescriptor, psi: SymbolExpr, parts,
+                 cfg: SamplingConfig) -> list[tuple[float, np.ndarray, int]]:
+    """Sampled sups of several functions part(v, q, Z) of one symbol, with
+    v = |psi| and q = Q_psi at the rows of Z, from one `_sup_estimates`
+    call: psi and its gradient are evaluated once per scan and once per
+    refinement step, and each row keeps its own member's part."""
+    q = geometry(d).q
+
+    def values(Z):
+        v = np.abs(evaluate_many(psi, Z))
+        qz = q(Z, gradient_many(psi, Z))
+        return np.stack([part(v, qz, Z) for part in parts])
+
+    def rows(P, which):
+        return values(P)[which, np.arange(len(which))]
+
+    return _sup_estimates(d, values, rows, cfg)
+
+
+def _beta_interval(found, cfg: SamplingConfig,
+                   certified_upper: float | None) -> EstimateInterval:
+    """The seminorm interval of a sampled sup of Q_f: its lower end, and
+    the caller's certified bound (or +inf) as the upper one."""
+    lower, argmax, ns = found
+    upper = inf
+    if certified_upper is not None:
+        if certified_upper < lower - 1e-9:
+            raise UsageError("supplied upper bound contradicts sampled lower")
+        upper = max(float(certified_upper), lower)
+    return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
+                            argmax=tuple(argmax.tolist()))
 
 
 def beta_estimate(d: DomainDescriptor, f: SymbolExpr,
@@ -234,29 +279,30 @@ def beta_estimate(d: DomainDescriptor, f: SymbolExpr,
     def objective(Z):
         return q_values(d, f, Z)
 
-    lower, argmax, ns = _sup_estimate(d, objective, objective, cfg)
-    upper = inf
-    if certified_upper is not None:
-        if certified_upper < lower - 1e-9:
-            raise UsageError("supplied upper bound contradicts sampled lower")
-        upper = max(float(certified_upper), lower)
-    return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
-                            argmax=tuple(argmax.tolist()))
+    return _beta_interval(_sup_estimate(d, objective, objective, cfg), cfg,
+                          certified_upper)
+
+
+def _bloch_interval(d: DomainDescriptor, f: SymbolExpr, beta_of,
+                    certified_upper: float | None) -> EstimateInterval:
+    """|f(0)| plus the seminorm interval beta_of(ceiling), where ceiling is
+    what a certified Bloch-norm bound leaves for the seminorm."""
+    base = abs(evaluate(f, np.zeros(d.ambient_dim)))
+    beta = beta_of(certified_upper if certified_upper is None
+                   else max(certified_upper - base, 0.0))
+    upper = base + beta.upper if beta.upper < inf else inf
+    if beta.mode == "exact":
+        return exact(base)
+    return EstimateInterval(base + beta.lower, upper, beta.mode,
+                            beta.samples, beta.seed, argmax=beta.argmax)
 
 
 def bloch_norm_estimate(d: DomainDescriptor, f: SymbolExpr,
                         cfg: SamplingConfig = SamplingConfig(),
                         certified_upper: float | None = None) -> EstimateInterval:
     """|f(0)| + seminorm, same interval discipline as beta_estimate."""
-    base = abs(evaluate(f, np.zeros(d.ambient_dim)))
-    beta = beta_estimate(d, f, cfg,
-                         certified_upper if certified_upper is None
-                         else max(certified_upper - base, 0.0))
-    upper = base + beta.upper if beta.upper < inf else inf
-    if beta.mode == "exact":
-        return exact(base)
-    return EstimateInterval(base + beta.lower, upper, beta.mode,
-                            beta.samples, beta.seed, argmax=beta.argmax)
+    return _bloch_interval(d, f, lambda c: beta_estimate(d, f, cfg, c),
+                           certified_upper)
 
 
 def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,

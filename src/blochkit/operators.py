@@ -22,9 +22,10 @@ from math import inf, isinf
 import numpy as np
 
 # q_value is unused here, but perfbench's tracer patches this binding
-from .bloch import (AGAINST, _beta_lowers, _sup_estimate,  # noqa: F401
-                    beta_upper_poly, bloch_norm_estimate,
-                    little_star_membership_diagnostic, q_value, q_values)
+from .bloch import (AGAINST, _beta_interval, _beta_lowers,  # noqa: F401
+                    _bloch_interval, _sup_estimate, _symbol_sups,
+                    beta_upper_poly, little_star_membership_diagnostic,
+                    q_value, q_values)
 from .constants import in_class_D, resolved_constant
 from .domains import (DomainDescriptor, Kind, sample_interior,
                       sample_near_distinguished_boundary)
@@ -33,7 +34,8 @@ from .estimates import (EstimateInterval, MODE_SAMPLED_LOWER, SamplingConfig,
                         exact)
 from .metric import _require_metric, geometry
 from .symbols import (Polynomial, SymbolExpr, combine, constant, evaluate,
-                      evaluate_many, is_constant, supnorm_upper)
+                      evaluate_many, is_constant, power_within_caps,
+                      supnorm_upper)
 
 DEFAULT_BOUNDARY_EPS = (0.1, 0.01, 1e-3, 1e-4)
 
@@ -89,7 +91,13 @@ def sigma_estimate(d: DomainDescriptor, psi: SymbolExpr,
     def objective(Z):
         return q_values(d, psi, Z) * geo.growth(Z, little)
 
-    lower, argmax, ns = _sup_estimate(d, objective, objective, cfg)
+    return _sigma_interval(d, psi, _sup_estimate(d, objective, objective, cfg),
+                           cfg)
+
+
+def _sigma_interval(d: DomainDescriptor, psi: SymbolExpr, found,
+                    cfg: SamplingConfig) -> EstimateInterval:
+    lower, argmax, ns = found
     upper = inf
     if isinstance(psi, Polynomial):
         upper = max(sigma_upper_poly(d, psi), lower)
@@ -108,7 +116,11 @@ def supnorm_estimate(d: DomainDescriptor, psi: SymbolExpr,
     def objective(Z):
         return np.abs(evaluate_many(psi, Z))
 
-    lower, argmax, ns = _sup_estimate(d, objective, objective, cfg)
+    return _sup_interval(psi, _sup_estimate(d, objective, objective, cfg), cfg)
+
+
+def _sup_interval(psi: SymbolExpr, found, cfg: SamplingConfig) -> EstimateInterval:
+    lower, argmax, ns = found
     upper = max(supnorm_upper(psi), lower)
     return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
                             argmax=tuple(argmax.tolist()))
@@ -213,6 +225,44 @@ def _bloch_norm_ceiling(d: DomainDescriptor, psi: SymbolExpr) -> float | None:
     return abs(evaluate(psi, np.zeros(d.ambient_dim))) + beta_upper_poly(psi)
 
 
+def _components(d: DomainDescriptor, psi: SymbolExpr, cfg: SamplingConfig,
+                names: tuple[str, ...]) -> dict[str, EstimateInterval]:
+    """The components `names` of the norm sandwich ("sup", "bloch",
+    "sigma", "sigma0"), each the interval its own estimator gives (the
+    Bloch norm with the ceiling `_bloch_norm_ceiling`), from one
+    `_symbol_sups` call."""
+    _require_metric(d)
+    c = is_constant(psi)
+    if c is not None:
+        return {name: exact(abs(c) if name in ("sup", "bloch") else 0.0)
+                for name in names}
+    geo = geometry(d)
+    parts = {"sup": lambda v, q, Z: v,
+             "bloch": lambda v, q, Z: q,
+             "sigma": lambda v, q, Z: q * geo.growth(Z, False),
+             "sigma0": lambda v, q, Z: q * geo.growth(Z, True)}
+    found = _symbol_sups(d, psi, [parts[name] for name in names], cfg)
+    out = {}
+    for name, sup in zip(names, found):
+        if name == "sup":
+            out[name] = _sup_interval(psi, sup, cfg)
+        elif name == "bloch":
+            out[name] = _bloch_interval(
+                d, psi, lambda ceiling, sup=sup: _beta_interval(sup, cfg, ceiling),
+                _bloch_norm_ceiling(d, psi))
+        else:
+            out[name] = _sigma_interval(d, psi, sup, cfg)
+    return out
+
+
+def _sandwich(parts: dict[str, EstimateInterval], space: str) -> NormBounds:
+    sigma = parts["sigma0" if space == "B0*" else "sigma"]
+    lower = max(parts["sup"].lower, parts["bloch"].lower)
+    upper = max(parts["bloch"].upper, parts["sup"].upper + sigma.upper)
+    return NormBounds(lower, max(upper, lower), parts["sup"], parts["bloch"],
+                      sigma, space)
+
+
 def norm_bounds(d: DomainDescriptor, psi: SymbolExpr,
                 cfg: SamplingConfig = SamplingConfig(),
                 space: str = "B") -> NormBounds:
@@ -222,19 +272,12 @@ def norm_bounds(d: DomainDescriptor, psi: SymbolExpr,
     component is what acting on the constant function one yields);
     upper = max(bloch upper, sup upper + sigma upper) when every piece
     is finite, +inf otherwise. space="B0*" uses the vanishing-class
-    boundary weight.
+    boundary weight. The components come from one sampled-sup call.
     """
     if space not in ("B", "B0*"):
         raise UsageError("space must be 'B' or 'B0*'")
-    sup_est = supnorm_estimate(d, psi, cfg)
-    bloch_est = bloch_norm_estimate(d, psi, cfg,
-                                    certified_upper=_bloch_norm_ceiling(d, psi))
-    sigma_est = sigma_estimate(d, psi, cfg,
-                               which=("sigma0" if space == "B0*" else "sigma"))
-    lower = max(sup_est.lower, bloch_est.lower)
-    upper = max(bloch_est.upper, sup_est.upper + sigma_est.upper)
-    upper = max(upper, lower)
-    return NormBounds(lower, upper, sup_est, bloch_est, sigma_est, space)
+    sigma = "sigma0" if space == "B0*" else "sigma"
+    return _sandwich(_components(d, psi, cfg, ("sup", "bloch", sigma)), space)
 
 
 def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[Polynomial]:
@@ -424,11 +467,18 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
     2. Non-constant symbol on a domain whose seminorm ceiling is below
        one: never an isometry. Evidence: |psi(0)|^k falling through
        1 - ceiling (an isometry would pin every power's norm at one),
-       plus sampled seminorms of the powers where a metric is wired.
+       plus sampled seminorms of the powers psi^k, k = 1, 2, 4, 8, 16,
+       where a metric is wired. The chain rule gives them without
+       expanding a power: grad psi^k = k psi^(k-1) grad psi, and Q is
+       homogeneous in the gradient, so Q of psi^k is k |psi|^(k-1) Q_psi,
+       and one evaluation of psi and its gradient per point serves every
+       rung. The rungs stop where expanding psi^k would cross the degree
+       or term cap (`power_within_caps`).
     3. Otherwise (a disk factor is present) only the necessary
-       conditions ||psi||_inf <= 1 and ||psi||_B = 1 are tested; a
-       numerical violation yields not-isometry-evidence, anything else
-       is inconclusive (no theorem covers this case).
+       conditions ||psi||_inf <= 1 and ||psi||_B = 1 are tested, from
+       one sampled-sup call; a numerical violation yields
+       not-isometry-evidence, anything else is inconclusive (no theorem
+       covers this case).
     """
     c = is_constant(psi)
     if c is not None:
@@ -451,16 +501,16 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
             # evidence rows only, never a verdict input: sample coarsely
             small = cfg.with_(samples=max(256, cfg.samples // 16),
                               refine_restarts=1, refine_iters=12)
-            powers_of_psi = {}
+            ks = []
             for k in (1, 2, 4, 8, 16):
-                if k > k_max:
+                if k > k_max or not power_within_caps(psi, k):
                     break
-                try:
-                    powers_of_psi[k] = combine("power", psi, k)
-                except UsageError:
-                    break  # power would cross the degree cap
-            betas = dict(zip(powers_of_psi,
-                             _beta_lowers(d, list(powers_of_psi.values()), small)))
+                ks.append(k)
+            if ks:
+                # Q of psi^k is k |psi|^(k-1) Q_psi
+                rungs = [lambda v, q, Z, k=k: k * v ** (k - 1) * q for k in ks]
+                betas = {k: sup[0] for k, sup in
+                         zip(ks, _symbol_sups(d, psi, rungs, small))}
         return IsometryReport(
             "not-isometry",
             "non-constant symbol on a domain with seminorm ceiling below one",
@@ -471,9 +521,8 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
         return IsometryReport(
             INCONCLUSIVE,
             "no metric wired for this domain and the ceiling is not below one")
-    sup_est = supnorm_estimate(d, psi, cfg)
-    norm_est = bloch_norm_estimate(d, psi, cfg,
-                                   certified_upper=_bloch_norm_ceiling(d, psi))
+    parts = _components(d, psi, cfg, ("sup", "bloch"))
+    sup_est, norm_est = parts["sup"], parts["bloch"]
     m0 = abs(evaluate(psi, np.zeros(d.ambient_dim)))
     if sup_est.lower > 1.0 + 1e-9:
         return IsometryReport("not-isometry-evidence",
@@ -518,8 +567,8 @@ class OperatorReport:
 
 def operator_report(d: DomainDescriptor, psi: SymbolExpr, symbol_text: str,
                     cfg: SamplingConfig = SamplingConfig()) -> OperatorReport:
-    nb = norm_bounds(d, psi, cfg)
-    sig0 = sigma_estimate(d, psi, cfg, which="sigma0")
+    parts = _components(d, psi, cfg, ("sup", "bloch", "sigma", "sigma0"))
+    nb, sig0 = _sandwich(parts, "B"), parts["sigma0"]
     verdicts = {
         "norm_lower": nb.lower,
         "norm_upper_B": nb.upper,

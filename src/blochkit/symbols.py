@@ -24,8 +24,9 @@ TERM_CAP terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 from functools import lru_cache
-from math import hypot, inf, log, pi
+from math import comb, hypot, inf, log, pi
 
 import numpy as np
 
@@ -145,6 +146,49 @@ def _scale(f: SymbolExpr, c: complex) -> SymbolExpr:
     if isinstance(f, Polynomial):
         return _poly_from_dict(f.arity, {e: c * v for e, v in f.terms})
     return combine("product", constant(c, f.arity), f)
+
+
+def power_within_caps(f: SymbolExpr, k: int) -> bool:
+    """Whether `combine("power", f, k)` stays within the degree and term
+    caps, decided from f's exponents alone (exact cancellation of
+    coefficients is not counted on): f^k has degree k deg f, and its
+    terms are the k-fold sumset of f's exponents, at most C(t + k - 1, k)
+    for t terms, which settles most k without counting. A power of a
+    symbol other than a polynomial is a `Power` node, never expanded."""
+    if not isinstance(f, Polynomial) or k <= 1:
+        return True
+    if f.degree * k > DEGREE_CAP:
+        return False
+    return (comb(len(f.terms) + k - 1, k) <= TERM_CAP
+            or _sumset_fits(_poly_arrays(f)[0], k))
+
+
+def _sumset_fits(S: np.ndarray, k: int) -> bool:
+    """Whether the k-fold sumset of the exponent rows S has at most
+    TERM_CAP rows. Each row is packed into int64 words, one digit of
+    radix k max_j + 1 per coordinate j, so that sums never carry; the
+    count stops as soon as it passes TERM_CAP."""
+    radix = k * S.max(axis=0) + 1
+    words, word, place = [], np.zeros(len(S), dtype=np.int64), 1
+    for j in range(S.shape[1]):
+        if place * int(radix[j]) >= 2 ** 62:
+            words.append(word)
+            word, place = np.zeros(len(S), dtype=np.int64), 1
+        word = word + S[:, j] * place
+        place *= int(radix[j])
+    K = np.stack(words + [word], axis=1)
+    step = max(1, 2 ** 16 // len(K))  # rows of the sumset so far per chunk
+    acc = K
+    for _ in range(k - 1):
+        seen = K[:0]
+        for s in range(0, len(acc), step):
+            seen = np.concatenate([seen, (acc[s:s + step, None] + K).reshape(-1, K.shape[1])])
+            seen = seen[np.lexsort(seen.T)]
+            seen = seen[np.r_[True, (seen[1:] != seen[:-1]).any(axis=1)]]
+            if len(seen) > TERM_CAP:
+                return False
+        acc = seen
+    return True
 
 
 def is_constant(f: SymbolExpr) -> complex | None:
@@ -327,6 +371,25 @@ def gradient_many(f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
         vals = evaluate_many(f.base, Z)
         return gradient_many(f.base, Z) * (f.exponent * vals ** (f.exponent - 1))[:, None]
     raise UsageError(f"cannot differentiate {type(f).__name__}")
+
+
+def gradient_family(fs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The gradient of a family of symbols of one arity: a function
+    grad(Z, which) whose row i is the holomorphic gradient of fs[which[i]]
+    at Z[i]. A family of polynomials goes through one call of the family
+    kernel; a family with any other member takes each member's rows to
+    `gradient_many`."""
+    if all(isinstance(f, Polynomial) for f in fs):
+        return _kernels.poly_grad_family([_poly_arrays(f) for f in fs])
+
+    def grad(Z: np.ndarray, which: np.ndarray) -> np.ndarray:
+        out = np.empty(Z.shape, dtype=np.complex128)
+        for k, f in enumerate(fs):
+            rows = which == k
+            if rows.any():
+                out[rows] = gradient_many(f, Z[rows])
+        return out
+    return grad
 
 
 def evaluate(f: SymbolExpr, z) -> complex:

@@ -257,6 +257,19 @@ def _pointwise_refine(d, objective, z, iters):
     return best, z
 
 
+def _family(objectives):
+    """rows(P, which) of a family whose member k is objectives[k], each
+    called on its own rows."""
+    def rows(P, which):
+        out = np.empty(len(P))
+        for k, objective in enumerate(objectives):
+            mine = which == k
+            if mine.any():
+                out[mine] = objective(P[mine])
+        return out
+    return rows
+
+
 @pytest.mark.parametrize("d,f", REFINE_CASES, ids=[str(d) for d, _ in REFINE_CASES])
 def test_lockstep_refinement_equals_one_row_runs(d, f):
     def exact(Z):
@@ -270,18 +283,18 @@ def test_lockstep_refinement_equals_one_row_runs(d, f):
     # the last input searches two objectives jointly, from 4 and 3 starts
     for objectives in ([exact], [rounded], [exact, rounded]):
         starts = [Z0[k:] for k in range(len(objectives))]
-        best, points = _refine_max(d, objectives, starts, 20)
+        best, points = _refine_max(d, _family(objectives), starts, 20)
         row = 0
         for objective, start in zip(objectives, starts):
             for i in range(len(start)):
-                b1, p1 = _refine_max(d, [objective], [start[i:i + 1]], 20)
+                b1, p1 = _refine_max(d, _family([objective]), [start[i:i + 1]], 20)
                 assert best[row:row + 1].tobytes() == b1.tobytes()
                 assert points[row:row + 1].tobytes() == p1.tobytes()
                 b2, p2 = _pointwise_refine(d, objective, start[i], 20)
                 assert best[row:row + 1].tobytes() == np.float64(b2).tobytes()
                 assert points[row].tobytes() == p2.tobytes()
                 row += 1
-            alone = _refine_max(d, [objective], [start], 20)
+            alone = _refine_max(d, _family([objective]), [start], 20)
             group = slice(row - len(start), row)
             assert best[group].tobytes() == alone[0].tobytes()
             assert points[group].tobytes() == alone[1].tobytes()
@@ -306,7 +319,7 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
           mkpoly(3, {(0, 2, 0): 0.8j, (1, 0, 1): -0.4}),
           mkpoly(3, {(0, 0, 1): 1.0, (2, 1, 0): 0.3 + 0.3j})]
     n, iters = d.ambient_dim, 15
-    counts = {"contains": 0, "gauge": 0, "objective": []}
+    counts = {"contains": 0, "gauge": 0, "rows": 0, "members": set()}
     real_contains, real_outside = bloch.contains, bloch._outside
     real_refine = bloch._refine_max
 
@@ -318,16 +331,12 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
         counts["gauge"] += 1
         return real_outside(*args)
 
-    def counted_refine(d, objectives, starts, iters):
-        calls = counts["objective"] = [0] * len(objectives)
-
-        def counted(k):
-            def call(Z):
-                calls[k] += 1
-                return objectives[k](Z)
-            return call
-        return real_refine(d, [counted(k) for k in range(len(objectives))],
-                           starts, iters)
+    def counted_refine(d, rows, starts, iters):
+        def counted(P, which):
+            counts["rows"] += 1
+            counts["members"].update(which.tolist())
+            return rows(P, which)
+        return real_refine(d, counted, starts, iters)
 
     monkeypatch.setattr(bloch, "contains", counted_contains)
     monkeypatch.setattr(bloch, "_outside", counted_outside)
@@ -335,17 +344,19 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
     for restarts in (1, 3, 8):
         cfg = SamplingConfig(samples=500, seed=3, refine_restarts=restarts,
                              refine_iters=iters)
-        gauges = []
+        gauges, calls = [], []
         for run, k in ((lambda: beta_estimate(d, fs[0], cfg), 1),
                        (lambda: bloch._beta_lowers(d, fs, cfg), len(fs))):
-            counts.update(contains=0, gauge=0)
+            counts.update(contains=0, gauge=0, rows=0, members=set())
             run()
             assert counts["contains"] == 0
-            assert len(counts["objective"]) == k
-            assert all(0 < c <= 2 * n * (iters + 2) for c in counts["objective"])
+            assert counts["members"] == set(range(k))
+            assert 0 < counts["rows"] <= 2 * n * (iters + 2)
             gauges.append(counts["gauge"])
-        # K objectives share every gauge check of one
+            calls.append(counts["rows"])
+        # K members share every gauge check and every objective call of one
         assert 0 < gauges[0] == gauges[1]
+        assert calls[0] == calls[1]
 
 
 # ---------------------------------------------------------------- growth scale

@@ -82,5 +82,34 @@ def test_table_kernel_matches_loop_bitwise():
             np.testing.assert_array_equal(_bits(grad), _bits(loop_grad))
 
 
+def _family_members():
+    rng = np.random.default_rng(11)
+    members = []
+    # term counts 1, 4, 9 and 17; widths and top exponents differ, and the
+    # one-term member leaves a coordinate unused
+    for terms, top in ((1, 2), (4, 6), (9, 3), (17, 12)):
+        pows = rng.integers(0, top + 1, size=(terms, 3)).astype(np.int64)
+        if terms == 1:
+            pows[0] = (2, 0, 1)
+        coeffs = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+        members.append((pows, coeffs))
+    return members
+
+
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 100])
+def test_family_kernel_matches_each_member_bitwise(m):
+    members = _family_members()
+    rng = np.random.default_rng(m)
+    Z = 0.55 * (rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))
+    which = rng.integers(0, len(members), size=m)
+    which[: len(members)] = np.arange(len(members))[:m]
+    grad = kernels.poly_grad_family(members)(Z, which)
+    assert grad.shape == Z.shape
+    for i in range(m):
+        pows, coeffs = members[which[i]]
+        alone = kernels.poly_grad_table(pows, coeffs, Z[i:i + 1])
+        np.testing.assert_array_equal(_bits(grad[i:i + 1]), _bits(alone))
+
+
 def test_backend_name_reports_active_kernel():
     assert backend_name() == "numpy"

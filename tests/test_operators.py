@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from blochkit import (
     SamplingConfig,
     ball,
     beta_estimate,
+    beta_upper_poly,
     bloch_norm_estimate,
     boundedness_verdict,
     cartan1,
@@ -17,6 +19,7 @@ from blochkit import (
     coordinate,
     disk,
     empirical_opnorm_lower,
+    evaluate_many,
     exceptional16,
     grid_coverage,
     isometry_verdict,
@@ -25,12 +28,14 @@ from blochkit import (
     parse_domain,
     polydisk,
     q_value,
+    q_values,
     sample_interior,
     sigma_estimate,
     sigma_upper_poly,
     spectrum_cloud,
     supnorm_estimate,
 )
+from blochkit.bloch import _sup_estimate
 from blochkit.errors import AmbiguousConstantError, UsageError
 from blochkit.operators import (
     _RADIAL_PEAK,
@@ -177,6 +182,8 @@ def test_empirical_opnorm_exact_for_constants(fast_cfg):
     assert empirical_opnorm_lower(ball(2), constant(2.5j, 2), fast_cfg) == pytest.approx(
         2.5, abs=1e-12
     )
+    # every battery product constant: no sampled member at all
+    assert empirical_opnorm_lower(ball(2), constant(0.0, 2), fast_cfg) == 0.0
 
 
 def test_empirical_opnorm_within_sandwich(fast_cfg):
@@ -207,11 +214,103 @@ def test_families_match_their_members_bit_for_bit(spec, psi, fast_cfg):
     if d.kind.value == "ball":
         small = fast_cfg.with_(samples=max(256, fast_cfg.samples // 16),
                                refine_restarts=1, refine_iters=12)
-        ladder = {k: beta_estimate(d, combine("power", psi, k), small).lower
+
+        def rung(k):
+            # the chain rule: Q of psi^k is k |psi|^(k-1) Q_psi
+            def objective(Z):
+                return k * np.abs(evaluate_many(psi, Z)) ** (k - 1) * q_values(d, psi, Z)
+            return objective
+
+        ladder = {k: _sup_estimate(d, rung(k), rung(k), small)[0]
                   for k in (1, 2, 4, 8, 16)}
         assert repr(betas) == repr(ladder)
+        # and the seminorms of the expanded powers, to rounding
+        for k, beta in betas.items():
+            power = combine("power", psi, k)
+            assert beta == pytest.approx(beta_estimate(d, power, small).lower, rel=1e-13)
+            assert beta <= beta_upper_poly(power)
     else:
         assert betas == {}  # a disk factor: no power ladder
+
+
+SANDWICH_CASES = (
+    ("ball:2", mkpoly(2, {(0, 0): 0.3j, (1, 0): 0.5, (1, 1): 0.3 - 0.2j, (0, 3): 0.4j})),
+    ("polydisk:2", mkpoly(2, {(0, 0): 0.2, (2, 1): -0.7, (0, 1): 0.1 + 0.5j})),
+    ("product(ball:2,disk)", mkpoly(3, {(1, 0, 1): 1.0, (0, 2, 0): -0.6})),
+    ("disk", LogFrac(1, 1, 0.6, "f")),
+)
+
+
+@pytest.mark.parametrize("spec,psi", SANDWICH_CASES, ids=[s for s, _ in SANDWICH_CASES])
+def test_sandwich_components_match_their_own_estimates(spec, psi, fast_cfg):
+    # norm_bounds and operator_report search all components in one joint
+    # refinement; each must be bit for bit its own estimator's interval
+    d = parse_domain(spec)
+    ceiling = _bloch_norm_ceiling(d, psi)
+    alone = {"sup": supnorm_estimate(d, psi, fast_cfg),
+             "bloch": bloch_norm_estimate(d, psi, fast_cfg, certified_upper=ceiling),
+             "sigma": sigma_estimate(d, psi, fast_cfg),
+             "sigma0": sigma_estimate(d, psi, fast_cfg, which="sigma0")}
+    for space, sigma in (("B", "sigma"), ("B0*", "sigma0")):
+        nb = norm_bounds(d, psi, fast_cfg, space=space)
+        for got, name in ((nb.sup, "sup"), (nb.bloch, "bloch"), (nb.sigma, sigma)):
+            assert repr(got) == repr(alone[name])
+    rep = operator_report(d, psi, "psi", fast_cfg)
+    for got, name in ((rep.sup_norm, "sup"), (rep.bloch_norm, "bloch"),
+                      (rep.sigma, "sigma"), (rep.sigma0, "sigma0")):
+        assert repr(got) == repr(alone[name])
+    nb = norm_bounds(d, psi, fast_cfg)
+    assert rep.verdicts["norm_lower"] == nb.lower
+    assert rep.verdicts["norm_upper_B"] == nb.upper
+
+
+def test_disk_factor_branch_reads_its_own_estimates(tiny_cfg, monkeypatch):
+    from blochkit import bloch
+
+    calls = []
+    real = bloch._sup_estimates
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bloch, "_sup_estimates", counted)
+    d = polydisk(2)
+    for psi, verdict in ((coordinate(1, 2), INCONCLUSIVE),
+                         (mkpoly(2, {(1, 0): 2.0}), "not-isometry-evidence"),
+                         (mkpoly(2, {(0, 0): 0.5, (1, 1): 0.3j}), "not-isometry-evidence")):
+        calls.clear()
+        rep = isometry_verdict(d, psi, tiny_cfg)
+        assert len(calls) == 1  # the sup-norm and the Bloch norm in one call
+        assert rep.verdict == verdict
+        sup = supnorm_estimate(d, psi, tiny_cfg)
+        norm = bloch_norm_estimate(d, psi, tiny_cfg,
+                                   certified_upper=_bloch_norm_ceiling(d, psi))
+        expected = ("sampled sup-norm exceeds one" if sup.lower > 1.0 + 1e-9
+                    else "sampled Bloch norm exceeds one" if norm.lower > 1.0 + 1e-9
+                    else "certified Bloch norm stays below one" if norm.upper < 1.0 - 1e-9
+                    else "necessary conditions hold within sampling resolution")
+        assert rep.reason == expected
+
+
+@pytest.mark.parametrize("spec,text", [
+    # the term cap: psi^16 would have C(21, 5) = 20349 terms
+    ("ball:5", "0.5 + 0.05*(z1 + z2 + z3 + z4 + z5)"),
+    # the degree cap: 5 * 16 > 64
+    ("ball:2", "0.5 + 0.1*z1^5 + 0.2*z1*z2^2"),
+])
+def test_power_ladder_stops_where_the_expansion_would(spec, text, tiny_cfg):
+    d = parse_domain(spec)
+    psi = parse_symbol(text, d.ambient_dim)
+    start = time.perf_counter()
+    rep = isometry_verdict(d, psi, tiny_cfg)
+    assert time.perf_counter() - start < 1.0
+    assert set(rep.power_betas) == {1, 2, 4, 8}
+    assert isometry_verdict(d, psi, tiny_cfg, k_max=5).power_betas.keys() == {1, 2, 4}
+    # the rungs are those whose expansion stays within the caps
+    combine("power", psi, 8)
+    with pytest.raises(UsageError):
+        combine("power", psi, 16)
 
 
 # ---------------------------------------------------------------- spectra

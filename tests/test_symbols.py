@@ -17,7 +17,7 @@ from blochkit import (
 )
 from blochkit.errors import BranchCutError, DimensionMismatch, ParseError, UsageError
 from blochkit.symbols import (DEGREE_CAP, TERM_CAP, LogFrac, Polynomial, format_complex,
-                              is_constant)
+                              is_constant, power_within_caps)
 
 from conftest import mkpoly
 
@@ -198,6 +198,25 @@ def test_power_term_cap():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert len(combine("power", base, 16).terms) == math.comb(20, 4) < TERM_CAP
+
+
+def test_power_within_caps_agrees_with_the_expansion():
+    rng = np.random.default_rng(5)
+    # every monomial of degree <= 3 in two variables: C(10 + k - 1, k)
+    # passes the term cap from k = 8 on, the k-fold sumset never does
+    dense = mkpoly(2, {(a, b): complex(*rng.standard_normal(2))
+                       for a in range(4) for b in range(4 - a)})
+    cases = [(dense, k) for k in (1, 2, 4, 8, 16)]
+    cases += [(parse_symbol("1+z1+z2+z3+z4", 4), k) for k in (8, 16, 17)]
+    cases += [(parse_symbol("0.5+z1^5", 2), k) for k in (12, 13)]
+    for f, k in cases:
+        try:
+            combine("power", f, k)
+            expands = True
+        except UsageError:
+            expands = False
+        assert power_within_caps(f, k) == expands, (f, k)
+    assert power_within_caps(LogFrac(1, 1, 0.5, "f"), 64)
 
 
 def test_is_constant():
