@@ -11,10 +11,17 @@ round:
 - ladder: `isometry_verdict` on ball:2 and twice on ball:5, for symbols
   whose power ladder runs to psi^16;
 - norm_bounds: one `norm_bounds` call on ball:2 and one on polydisk:2;
+- scan_singles: `beta_estimate` plus `sigma_estimate` of one 10-term
+  symbol on each of ball:3, polydisk:3 and product(ball:2,disk), with
+  50 000 samples and no refinement, as the scan workload of perfbench
+  asks single components;
+- cli.beta and cli.sigma: one in-process `blochkit beta` / `sigma` call
+  on ball:2 with a cubic symbol and the default 20 000 samples, output
+  captured;
 - the `isometry` and `norm-sandwich` verify suites at seed 42.
 
-Sampled sups use 1000 samples (1024 for the ladder), 2 restarts and 20
-golden-section steps, as the refine workload of perfbench does. BLAS runs
+Other sampled sups use 1000 samples (1024 for the ladder), 2 restarts and
+20 golden-section steps, as the refine workload of perfbench does. BLAS runs
 on one thread. The results are merged into the JSON file at --out under
 --label, next to an environment block (CPU count, Python, numpy and scipy
 versions, kernel backend), so two runs with one --out on one machine give
@@ -26,7 +33,9 @@ several invocations when the machine's speed drifts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -46,6 +55,10 @@ CUBICS = ("(0.3-0.2i) + (0.7+0.1i)*z1 + (-0.4+0.5i)*z1*z2 + (0.2-0.6i)*z2^3",
 LADDER = (("ball:2", "(0.6+0.6i) + (0.05-0.02i)*z1 + (0.01+0.03i)*z2^2 + (-0.02+0.01i)*z1*z2"),
           ("ball:5", "(0.84+0.05i) + (0.04+0.03i)*z1 + (-0.03+0.02i)*z2"),
           ("ball:5", "(-0.3+0.8i) + (0.02-0.05i)*z4 + (0.04+0.01i)*z5^2"))
+SCAN_SYMBOL = ("(0.2-0.1i) + (0.5+0.3i)*z1 + (-0.4+0.2i)*z2 + (0.3-0.6i)*z3"
+               " + (0.1+0.7i)*z1*z2 + (-0.5-0.2i)*z2*z3 + (0.6+0.1i)*z1^2"
+               " + (-0.2+0.4i)*z3^2 + (0.3+0.3i)*z1*z2*z3 + (0.4-0.5i)*z2^3")
+SCAN_DOMAINS = ("ball:3", "polydisk:3", "product(ball:2,disk)")
 
 
 def best_of(rounds: int, fn) -> float:
@@ -66,7 +79,13 @@ def code_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def measure(bk, verify) -> dict:
+def cli_call(cli, argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"blochkit {' '.join(argv)} failed")
+
+
+def measure(bk, verify, cli) -> dict:
     cfg = bk.SamplingConfig(samples=1000, seed=7, refine_restarts=2, refine_iters=20)
     iso_cfg = cfg.with_(samples=1024)
     planes = [bk.parse_domain(spec) for spec in ("ball:2", "polydisk:2")]
@@ -81,6 +100,14 @@ def measure(bk, verify) -> dict:
     }
     for d in planes:
         out[f"norm_bounds.{d}_s"] = best_of(2 * ROUNDS, lambda d=d: bk.norm_bounds(d, cubics[0], cfg))
+    scan_cfg = bk.SamplingConfig(samples=50000, seed=7, refine_restarts=0)
+    scans = [(bk.parse_domain(spec), bk.parse_symbol(SCAN_SYMBOL, 3)) for spec in SCAN_DOMAINS]
+    out["scan_singles_s"] = best_of(ROUNDS, lambda: [
+        (bk.beta_estimate(d, psi, scan_cfg), bk.sigma_estimate(d, psi, scan_cfg))
+        for d, psi in scans])
+    for command in ("beta", "sigma"):
+        argv = [command, "--domain", "ball:2", "--symbol", CUBICS[0]]
+        out[f"cli.{command}_s"] = best_of(ROUNDS, lambda argv=argv: cli_call(cli, argv))
     for suite in ("isometry", "norm-sandwich"):
         out[f"verify.{suite}_s"] = best_of(SUITE_ROUNDS, lambda s=suite: verify.run_suite(s, 42))
     return out
@@ -98,7 +125,7 @@ def main(argv=None) -> int:
     import scipy
 
     import blochkit as bk
-    from blochkit import verify
+    from blochkit import cli, verify
     if Path(bk.__file__).resolve() != root / "src" / "blochkit" / "__init__.py":
         raise SystemExit(f"imported {bk.__file__}, not the checkout at {root}")
     environment = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
@@ -107,7 +134,7 @@ def main(argv=None) -> int:
                    "rounds": {"layers": ROUNDS, "norm_bounds": 2 * ROUNDS,
                               "suites": SUITE_ROUNDS, "statistic": "best"}}
     record = {"code_sha256": code_digest(root), "invocations": 1,
-              "seconds": measure(bk, verify)}
+              "seconds": measure(bk, verify, cli)}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if data.get("environment", environment) != environment:
         raise SystemExit(f"{args.out} was written under another environment")

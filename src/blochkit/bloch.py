@@ -10,10 +10,16 @@ over stratified samples, raised by golden-section line searches from the
 best samples. Objectives sharing a domain and a config form a family
 with one draw: the operator-norm battery (`_beta_lowers`), and the
 functions of one symbol's modulus and Q (`_symbol_sups`: the isometry
-power ladder and the norm sandwich). The restarts of all members search
-in lockstep, each line cut to its closed-form chord: one batched gauge
-check per step and one family call over all rows, each row valued by its
-own member.
+power ladder and the component table). The restarts of all members
+search in lockstep, each line cut to its closed-form chord: one batched
+gauge check per step and one family call over all rows, each row valued
+by its own member.
+
+The component table (`_components`) is the one path by which a sampled
+sup of one symbol becomes an `EstimateInterval`: the sup-norm, the
+seminorm, the Bloch norm and the boundary weights, alone or several at
+once, each with the certified upper end its caller passes.
+`beta_estimate` and `bloch_norm_estimate` read it with one name.
 
 The extremal growth omega and its floors are reads of the geometry
 table: omega is the distance from the origin, the full-class floor is
@@ -203,15 +209,6 @@ def _sup_estimates(d: DomainDescriptor, values, rows,
     return out
 
 
-def _sup_estimate(d: DomainDescriptor, objective_batch, objective_rows,
-                  cfg: SamplingConfig) -> tuple[float, np.ndarray, int]:
-    """One objective's `_sup_estimates`. Callers pass one batch function
-    twice: perfbench's tracer wraps this signature and times the first as
-    the scan."""
-    return _sup_estimates(d, lambda Z: objective_batch(Z)[None],
-                          lambda P, which: objective_rows(P), cfg)[0]
-
-
 def _beta_lowers(d: DomainDescriptor, fs, cfg: SamplingConfig) -> list[float]:
     """`beta_estimate(d, f, cfg).lower` for every f in fs, from one draw
     and one joint refinement whose steps take all gradients from one
@@ -231,18 +228,19 @@ def _beta_lowers(d: DomainDescriptor, fs, cfg: SamplingConfig) -> list[float]:
     return [0.0 if is_constant(f) is not None else next(found)[0] for f in fs]
 
 
-def _symbol_sups(d: DomainDescriptor, psi: SymbolExpr, parts,
-                 cfg: SamplingConfig) -> list[tuple[float, np.ndarray, int]]:
+def _symbol_sups(d: DomainDescriptor, psi: SymbolExpr, parts, cfg: SamplingConfig,
+                 reads="vq") -> list[tuple[float, np.ndarray, int]]:
     """Sampled sups of several functions part(v, q, Z) of one symbol, with
     v = |psi| and q = Q_psi at the rows of Z, from one `_sup_estimates`
     call: psi and its gradient are evaluated once per scan and once per
-    refinement step, and each row keeps its own member's part."""
-    q = geometry(d).q
+    refinement step, and each row keeps its own member's part. `reads`
+    holds what the parts read, "v", "q" or both; the other is passed as
+    None and never evaluated."""
 
     def values(Z):
-        v = np.abs(evaluate_many(psi, Z))
-        qz = q(Z, gradient_many(psi, Z))
-        return np.stack([part(v, qz, Z) for part in parts])
+        v = np.abs(evaluate_many(psi, Z)) if "v" in reads else None
+        q = q_values(d, psi, Z) if "q" in reads else None
+        return np.stack([part(v, q, Z) for part in parts])
 
     def rows(P, which):
         return values(P)[which, np.arange(len(which))]
@@ -250,18 +248,50 @@ def _symbol_sups(d: DomainDescriptor, psi: SymbolExpr, parts,
     return _sup_estimates(d, values, rows, cfg)
 
 
-def _beta_interval(found, cfg: SamplingConfig,
-                   certified_upper: float | None) -> EstimateInterval:
-    """The seminorm interval of a sampled sup of Q_f: its lower end, and
-    the caller's certified bound (or +inf) as the upper one."""
-    lower, argmax, ns = found
-    upper = inf
-    if certified_upper is not None:
-        if certified_upper < lower - 1e-9:
-            raise UsageError("supplied upper bound contradicts sampled lower")
-        upper = max(float(certified_upper), lower)
-    return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
-                            argmax=tuple(argmax.tolist()))
+def _components(d: DomainDescriptor, psi: SymbolExpr, cfg: SamplingConfig,
+                certs: dict[str, float | None]) -> dict[str, EstimateInterval]:
+    """Sampled sups of one symbol as intervals, from one `_symbol_sups`
+    call. `certs` maps each wanted component to its certified upper end
+    (None for +inf):
+
+      "sup"     sup |psi|
+      "beta"    the seminorm sup Q_psi
+      "bloch"   the Bloch norm |psi(0)| + seminorm
+      "sigma"   the boundary weight sup omega Q_psi
+      "sigma0"  the same with the vanishing-class growth
+
+    The lower end is the sampled sup, the upper end max(certificate,
+    lower). The Bloch norm adds |psi(0)| to both ends of the seminorm
+    interval whose certificate is max(certificate - |psi(0)|, 0). A
+    seminorm or Bloch-norm certificate below the sampled lower end raises
+    UsageError. Constant symbols are exact, and `cfg` is not read."""
+    _require_metric(d)
+    c = is_constant(psi)
+    if c is not None:
+        return {name: exact(abs(c) if name in ("sup", "bloch") else 0.0)
+                for name in certs}
+    geo = geometry(d)
+    parts = {"sup": lambda v, q, Z: v,
+             "beta": lambda v, q, Z: q,
+             "bloch": lambda v, q, Z: q,
+             "sigma": lambda v, q, Z: q * geo.growth(Z, False),
+             "sigma0": lambda v, q, Z: q * geo.growth(Z, True)}
+    reads = {"v" if name == "sup" else "q" for name in certs}
+    found = _symbol_sups(d, psi, [parts[name] for name in certs], cfg, reads)
+    out = {}
+    for (name, cert), (lower, argmax, ns) in zip(certs.items(), found):
+        base = 0.0
+        if name == "bloch":
+            base = abs(evaluate(psi, np.zeros(d.ambient_dim)))
+            cert = cert if cert is None else max(cert - base, 0.0)
+        upper = inf
+        if cert is not None:
+            if name in ("beta", "bloch") and cert < lower - 1e-9:
+                raise UsageError("supplied upper bound contradicts sampled lower")
+            upper = max(float(cert), lower)
+        out[name] = EstimateInterval(base + lower, base + upper, MODE_SAMPLED_LOWER,
+                                     ns, cfg.seed, argmax=tuple(argmax.tolist()))
+    return out
 
 
 def beta_estimate(d: DomainDescriptor, f: SymbolExpr,
@@ -272,37 +302,14 @@ def beta_estimate(d: DomainDescriptor, f: SymbolExpr,
     Constant symbols are exact zero. The upper end is +inf unless the
     caller supplies a certified bound.
     """
-    _require_metric(d)
-    if is_constant(f) is not None:
-        return exact(0.0)
-
-    def objective(Z):
-        return q_values(d, f, Z)
-
-    return _beta_interval(_sup_estimate(d, objective, objective, cfg), cfg,
-                          certified_upper)
-
-
-def _bloch_interval(d: DomainDescriptor, f: SymbolExpr, beta_of,
-                    certified_upper: float | None) -> EstimateInterval:
-    """|f(0)| plus the seminorm interval beta_of(ceiling), where ceiling is
-    what a certified Bloch-norm bound leaves for the seminorm."""
-    base = abs(evaluate(f, np.zeros(d.ambient_dim)))
-    beta = beta_of(certified_upper if certified_upper is None
-                   else max(certified_upper - base, 0.0))
-    upper = base + beta.upper if beta.upper < inf else inf
-    if beta.mode == "exact":
-        return exact(base)
-    return EstimateInterval(base + beta.lower, upper, beta.mode,
-                            beta.samples, beta.seed, argmax=beta.argmax)
+    return _components(d, f, cfg, {"beta": certified_upper})["beta"]
 
 
 def bloch_norm_estimate(d: DomainDescriptor, f: SymbolExpr,
                         cfg: SamplingConfig = SamplingConfig(),
                         certified_upper: float | None = None) -> EstimateInterval:
     """|f(0)| + seminorm, same interval discipline as beta_estimate."""
-    return _bloch_interval(d, f, lambda c: beta_estimate(d, f, cfg, c),
-                           certified_upper)
+    return _components(d, f, cfg, {"bloch": certified_upper})["bloch"]
 
 
 def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
@@ -363,6 +370,21 @@ def omega_bounds(d: DomainDescriptor, z) -> EstimateInterval:
 # ---------------------------------------------------------------------------
 # decay diagnostics
 
+def _shell_maxima(d: DomainDescriptor, f: SymbolExpr, eps, cfg: SamplingConfig,
+                  weight=None) -> tuple[int, tuple[float, ...], bool]:
+    """Max of Q_f, times weight(Z) when given, over one
+    `sample_near_distinguished_boundary` draw per eps. Returns the draw
+    size, the maxima, and whether they never increase (to 1e-9 relative)."""
+    count = max(64, cfg.samples // max(1, len(eps)))
+    maxima = []
+    for e in eps:
+        Z = sample_near_distinguished_boundary(d, count, e, cfg.seed)
+        q = q_values(d, f, Z)
+        maxima.append(float(np.max(q if weight is None else q * weight(Z))))
+    falling = all(b <= a * (1.0 + 1e-9) for a, b in zip(maxima, maxima[1:]))
+    return count, tuple(maxima), falling
+
+
 def little_star_membership_diagnostic(
         d: DomainDescriptor, f: SymbolExpr,
         eps_ladder: tuple[float, ...] = DEFAULT_EPS_LADDER,
@@ -374,15 +396,10 @@ def little_star_membership_diagnostic(
     the initial one (identically-zero profiles count as consistent).
     """
     _require_metric(d)
-    count = max(64, cfg.samples // max(1, len(eps_ladder)))
-    maxima = []
-    for eps in eps_ladder:
-        Z = sample_near_distinguished_boundary(d, count, eps, cfg.seed)
-        maxima.append(float(np.max(q_values(d, f, Z))))
-    profile = DecayProfile(tuple(eps_ladder), tuple(maxima), count)
+    count, maxima, falling = _shell_maxima(d, f, eps_ladder, cfg)
+    profile = DecayProfile(tuple(eps_ladder), maxima, count)
     if max(maxima) <= 1e-15:
         return profile, CONSISTENT
-    non_increasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(maxima, maxima[1:]))
-    if non_increasing and maxima[-1] < 0.1 * maxima[0]:
+    if falling and maxima[-1] < 0.1 * maxima[0]:
         return profile, CONSISTENT
     return profile, AGAINST

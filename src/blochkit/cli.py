@@ -18,8 +18,8 @@ import time
 
 import numpy as np
 
-from .bloch import (beta_estimate, beta_upper_poly, bloch_norm_estimate,
-                    omega_bounds, omega_empirical_lower, q_value)
+from .bloch import (_components, beta_upper_poly, omega_bounds,
+                    omega_empirical_lower, q_value)
 from .constants import (bloch_constant, bloch_constant_candidates,
                         has_disk_factor, in_class_D, registry_table,
                         standard_form)
@@ -28,9 +28,10 @@ from .errors import (DimensionMismatch, NumericalDomainError, ParseError,
                      SuiteFailure, UsageError)
 from .estimates import DEFAULT_EPS_LADDER, SamplingConfig
 from .metric import rho_from_origin
-from .operators import (boundedness_verdict, compactness_verdict,
-                        empirical_opnorm_lower, isometry_verdict, norm_bounds,
-                        operator_report, sigma_estimate, spectrum_cloud)
+from .operators import (_sandwich_parts, boundedness_verdict,
+                        compactness_verdict, empirical_opnorm_lower,
+                        isometry_verdict, norm_bounds, operator_report,
+                        spectrum_cloud)
 from .probes import PROBES, run_probe
 from .report import AnalysisReport, render, timings_enabled
 from .symbols import Polynomial, parse_symbol
@@ -243,11 +244,10 @@ def _run_beta(opts) -> AnalysisReport:
     d, psi, text = _domain_symbol(opts)
     cfg = opts["cfg"]
     cert = beta_upper_poly(psi) if isinstance(psi, Polynomial) else None
-    est = beta_estimate(d, psi, cfg, certified_upper=cert)
+    parts = _components(d, psi, cfg, {"beta": cert, "bloch": None})
     rep = _base("beta", opts, d, text)
-    rep.add_interval("beta", est, ref="seminorm:sampled")
-    nrm = bloch_norm_estimate(d, psi, cfg, certified_upper=None)
-    rep.add_interval("bloch-norm", nrm, ref="seminorm:plus-origin-value")
+    rep.add_interval("beta", parts["beta"], ref="seminorm:sampled")
+    rep.add_interval("bloch-norm", parts["bloch"], ref="seminorm:plus-origin-value")
     return rep
 
 
@@ -276,12 +276,10 @@ def _run_rho(opts) -> AnalysisReport:
 
 def _run_sigma(opts) -> AnalysisReport:
     d, psi, text = _domain_symbol(opts)
-    cfg = opts["cfg"]
+    parts = _sandwich_parts(d, psi, opts["cfg"], ("sigma", "sigma0"))
     rep = _base("sigma", opts, d, text)
-    rep.add_interval("sigma", sigma_estimate(d, psi, cfg, which="sigma"),
-                     ref="weight:full-growth")
-    rep.add_interval("sigma0", sigma_estimate(d, psi, cfg, which="sigma0"),
-                     ref="weight:vanishing-growth")
+    rep.add_interval("sigma", parts["sigma"], ref="weight:full-growth")
+    rep.add_interval("sigma0", parts["sigma0"], ref="weight:vanishing-growth")
     return rep
 
 

@@ -6,7 +6,10 @@ Key facts wired into the verdicts:
 
   * max(||psi||_B, ||psi||_inf) <= ||M_psi|| <= max(||psi||_B,
     ||psi||_inf + sigma_psi), so sampled lower bounds for the
-    components certify an operator-norm lower bound.
+    components certify an operator-norm lower bound. Every component,
+    asked alone (`supnorm_estimate`, `sigma_estimate`) or several at
+    once (`norm_bounds`, `operator_report`), is a read of
+    `bloch._components` with its `_ceiling`.
   * the spectrum is the closure of the symbol's range, and the
     resolvent at lambda is controlled by sigma_psi / dist^2.
   * M_psi is compact only for the zero symbol.
@@ -21,17 +24,13 @@ from math import inf, isinf
 
 import numpy as np
 
-# q_value is unused here, but perfbench's tracer patches this binding
-from .bloch import (AGAINST, _beta_interval, _beta_lowers,  # noqa: F401
-                    _bloch_interval, _sup_estimate, _symbol_sups,
-                    beta_upper_poly, little_star_membership_diagnostic,
-                    q_value, q_values)
+from .bloch import (AGAINST, _beta_lowers, _components, _shell_maxima,
+                    _symbol_sups, beta_upper_poly,
+                    little_star_membership_diagnostic)
 from .constants import in_class_D, resolved_constant
-from .domains import (DomainDescriptor, Kind, sample_interior,
-                      sample_near_distinguished_boundary)
+from .domains import DomainDescriptor, Kind, sample_interior
 from .errors import UsageError
-from .estimates import (EstimateInterval, MODE_SAMPLED_LOWER, SamplingConfig,
-                        exact)
+from .estimates import EstimateInterval, SamplingConfig
 from .metric import _require_metric, geometry
 from .symbols import (Polynomial, SymbolExpr, combine, constant, evaluate,
                       evaluate_many, is_constant, power_within_caps,
@@ -83,47 +82,13 @@ def sigma_estimate(d: DomainDescriptor, psi: SymbolExpr,
     """
     if which not in ("sigma", "sigma0"):
         raise UsageError("which must be 'sigma' or 'sigma0'")
-    geo = geometry(d)
-    if is_constant(psi) is not None:
-        return exact(0.0)
-    little = which == "sigma0"
-
-    def objective(Z):
-        return q_values(d, psi, Z) * geo.growth(Z, little)
-
-    return _sigma_interval(d, psi, _sup_estimate(d, objective, objective, cfg),
-                           cfg)
-
-
-def _sigma_interval(d: DomainDescriptor, psi: SymbolExpr, found,
-                    cfg: SamplingConfig) -> EstimateInterval:
-    lower, argmax, ns = found
-    upper = inf
-    if isinstance(psi, Polynomial):
-        upper = max(sigma_upper_poly(d, psi), lower)
-    return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
-                            argmax=tuple(argmax.tolist()))
+    return _sandwich_parts(d, psi, cfg, (which,))[which]
 
 
 def supnorm_estimate(d: DomainDescriptor, psi: SymbolExpr,
                      cfg: SamplingConfig = SamplingConfig()) -> EstimateInterval:
     """Sampled lower / analytic upper interval for sup_z |psi(z)|."""
-    _require_metric(d)
-    c = is_constant(psi)
-    if c is not None:
-        return exact(abs(c))
-
-    def objective(Z):
-        return np.abs(evaluate_many(psi, Z))
-
-    return _sup_interval(psi, _sup_estimate(d, objective, objective, cfg), cfg)
-
-
-def _sup_interval(psi: SymbolExpr, found, cfg: SamplingConfig) -> EstimateInterval:
-    lower, argmax, ns = found
-    upper = max(supnorm_upper(psi), lower)
-    return EstimateInterval(lower, upper, MODE_SAMPLED_LOWER, ns, cfg.seed,
-                            argmax=tuple(argmax.tolist()))
+    return _sandwich_parts(d, psi, cfg, ("sup",))["sup"]
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +133,8 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
         psi, sample_interior(d, max(256, cfg.samples // 4), cfg.seed,
                              cfg.shells)))))
     geo, little = geometry(d), space == "B0*"
-    count = max(64, cfg.samples // max(1, len(eps)))
-    maxima = []
-    for e in eps:
-        Z = sample_near_distinguished_boundary(d, count, e, cfg.seed)
-        maxima.append(float(np.max(q_values(d, psi, Z) * geo.growth(Z, little))))
-    m = tuple(maxima)
+    _, m, non_increasing = _shell_maxima(d, psi, eps, cfg,
+                                         lambda Z: geo.growth(Z, little))
     if space == "B0*":
         _, diag = little_star_membership_diagnostic(d, psi, cfg=cfg)
         if diag == AGAINST:
@@ -184,7 +145,6 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
         return BoundednessReport(BOUNDED, eps, m, sup_lower,
                                  "criterion quantity vanishes on all shells")
     plateau = abs(m[-1] - m[-2]) < 0.05 * max(m[-1], m[-2]) if len(m) >= 2 else True
-    non_increasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(m, m[1:]))
     if plateau or non_increasing:
         return BoundednessReport(BOUNDED_EVIDENCE, eps, m, sup_lower,
                                  "shell maxima do not grow toward the boundary")
@@ -217,42 +177,25 @@ class NormBounds:
                 "boundary_weight": self.sigma.as_dict()}
 
 
-def _bloch_norm_ceiling(d: DomainDescriptor, psi: SymbolExpr) -> float | None:
-    """Certified Bloch-norm upper bound |psi(0)| + beta_upper_poly(psi)
-    of a polynomial symbol; None for other symbols."""
+def _ceiling(d: DomainDescriptor, psi: SymbolExpr, name: str) -> float | None:
+    """Certified upper end of the sandwich component `name` ("sup",
+    "bloch", "sigma" or "sigma0"; see `bloch._components`), None for
+    +inf: `supnorm_upper` for the sup-norm, and coefficient bounds, which
+    only polynomials have, for the others."""
+    if name == "sup":
+        return supnorm_upper(psi)
     if not isinstance(psi, Polynomial):
         return None
-    return abs(evaluate(psi, np.zeros(d.ambient_dim))) + beta_upper_poly(psi)
+    if name == "bloch":
+        return abs(evaluate(psi, np.zeros(d.ambient_dim))) + beta_upper_poly(psi)
+    return sigma_upper_poly(d, psi)
 
 
-def _components(d: DomainDescriptor, psi: SymbolExpr, cfg: SamplingConfig,
-                names: tuple[str, ...]) -> dict[str, EstimateInterval]:
-    """The components `names` of the norm sandwich ("sup", "bloch",
-    "sigma", "sigma0"), each the interval its own estimator gives (the
-    Bloch norm with the ceiling `_bloch_norm_ceiling`), from one
-    `_symbol_sups` call."""
-    _require_metric(d)
-    c = is_constant(psi)
-    if c is not None:
-        return {name: exact(abs(c) if name in ("sup", "bloch") else 0.0)
-                for name in names}
-    geo = geometry(d)
-    parts = {"sup": lambda v, q, Z: v,
-             "bloch": lambda v, q, Z: q,
-             "sigma": lambda v, q, Z: q * geo.growth(Z, False),
-             "sigma0": lambda v, q, Z: q * geo.growth(Z, True)}
-    found = _symbol_sups(d, psi, [parts[name] for name in names], cfg)
-    out = {}
-    for name, sup in zip(names, found):
-        if name == "sup":
-            out[name] = _sup_interval(psi, sup, cfg)
-        elif name == "bloch":
-            out[name] = _bloch_interval(
-                d, psi, lambda ceiling, sup=sup: _beta_interval(sup, cfg, ceiling),
-                _bloch_norm_ceiling(d, psi))
-        else:
-            out[name] = _sigma_interval(d, psi, sup, cfg)
-    return out
+def _sandwich_parts(d: DomainDescriptor, psi: SymbolExpr, cfg: SamplingConfig,
+                    names: tuple[str, ...]) -> dict[str, EstimateInterval]:
+    """The sandwich components `names` of psi, each with its `_ceiling`,
+    from one `bloch._components` call."""
+    return _components(d, psi, cfg, {name: _ceiling(d, psi, name) for name in names})
 
 
 def _sandwich(parts: dict[str, EstimateInterval], space: str) -> NormBounds:
@@ -277,7 +220,7 @@ def norm_bounds(d: DomainDescriptor, psi: SymbolExpr,
     if space not in ("B", "B0*"):
         raise UsageError("space must be 'B' or 'B0*'")
     sigma = "sigma0" if space == "B0*" else "sigma"
-    return _sandwich(_components(d, psi, cfg, ("sup", "bloch", sigma)), space)
+    return _sandwich(_sandwich_parts(d, psi, cfg, ("sup", "bloch", sigma)), space)
 
 
 def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[Polynomial]:
@@ -309,7 +252,7 @@ def empirical_opnorm_lower(d: DomainDescriptor, psi: SymbolExpr,
     _require_metric(d)
     zero = np.zeros(d.ambient_dim)
     pairs = [(combine("product", psi, f), denom) for f in _battery(d, nfuncs, seed)
-             if (denom := _bloch_norm_ceiling(d, f)) > 0]
+             if (denom := _ceiling(d, f, "bloch")) > 0]
     betas = _beta_lowers(d, [prod for prod, _ in pairs], cfg)
     best = 0.0
     for (prod, denom), beta in zip(pairs, betas):
@@ -521,7 +464,7 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
         return IsometryReport(
             INCONCLUSIVE,
             "no metric wired for this domain and the ceiling is not below one")
-    parts = _components(d, psi, cfg, ("sup", "bloch"))
+    parts = _sandwich_parts(d, psi, cfg, ("sup", "bloch"))
     sup_est, norm_est = parts["sup"], parts["bloch"]
     m0 = abs(evaluate(psi, np.zeros(d.ambient_dim)))
     if sup_est.lower > 1.0 + 1e-9:
@@ -567,7 +510,7 @@ class OperatorReport:
 
 def operator_report(d: DomainDescriptor, psi: SymbolExpr, symbol_text: str,
                     cfg: SamplingConfig = SamplingConfig()) -> OperatorReport:
-    parts = _components(d, psi, cfg, ("sup", "bloch", "sigma", "sigma0"))
+    parts = _sandwich_parts(d, psi, cfg, ("sup", "bloch", "sigma", "sigma0"))
     nb, sig0 = _sandwich(parts, "B"), parts["sigma0"]
     verdicts = {
         "norm_lower": nb.lower,

@@ -60,6 +60,28 @@ def test_beta_command_rows(capsys):
     assert m["results"][0]["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("command", ["beta", "sigma"])
+def test_beta_and_sigma_make_one_sampled_sup_call(command, capsys, monkeypatch):
+    from blochkit import bloch
+
+    calls = []
+    real = bloch._sup_estimates
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bloch, "_sup_estimates", counted)
+    rc, out = run_cli(capsys, [command, "--domain", "ball:2", "--symbol",
+                               "0.3 + z1^2 - 0.5i*z1*z2", "--samples", "400"])
+    assert rc == 0
+    assert len(calls) == 1  # both rows from one draw and one search
+    rows = {r["name"]: r for r in json.loads(out)["results"]}
+    if command == "beta":
+        assert rows["bloch-norm"]["lower"] == 0.3 + rows["beta"]["lower"]
+        assert rows["bloch-norm"]["upper"] is None
+
+
 def test_omega_exact_row(capsys):
     rc, out = run_cli(
         capsys, ["omega", "--domain", "ball:2", "--point", "0.3,0.4", "--samples", "300"]

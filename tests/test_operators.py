@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blochkit import (
+    EstimateInterval,
     SamplingConfig,
     ball,
     beta_estimate,
@@ -35,7 +36,7 @@ from blochkit import (
     spectrum_cloud,
     supnorm_estimate,
 )
-from blochkit.bloch import _sup_estimate
+from blochkit import bloch
 from blochkit.errors import AmbiguousConstantError, UsageError
 from blochkit.operators import (
     _RADIAL_PEAK,
@@ -44,7 +45,7 @@ from blochkit.operators import (
     INCONCLUSIVE,
     UNBOUNDED_EVIDENCE,
     _battery,
-    _bloch_norm_ceiling,
+    _ceiling,
 )
 from blochkit.symbols import LogFrac, parse_symbol
 
@@ -205,7 +206,7 @@ def test_families_match_their_members_bit_for_bit(spec, psi, fast_cfg):
     d = parse_domain(spec)
     reference = 0.0
     for f in _battery(d, 8, 42):
-        denom = _bloch_norm_ceiling(d, f)
+        denom = _ceiling(d, f, "bloch")
         if denom > 0:
             num = bloch_norm_estimate(d, combine("product", psi, f), fast_cfg).lower
             reference = max(reference, num / denom)
@@ -221,7 +222,8 @@ def test_families_match_their_members_bit_for_bit(spec, psi, fast_cfg):
                 return k * np.abs(evaluate_many(psi, Z)) ** (k - 1) * q_values(d, psi, Z)
             return objective
 
-        ladder = {k: _sup_estimate(d, rung(k), rung(k), small)[0]
+        ladder = {k: bloch._sup_estimates(d, lambda Z: rung(k)(Z)[None],
+                                          lambda P, w: rung(k)(P), small)[0][0]
                   for k in (1, 2, 4, 8, 16)}
         assert repr(betas) == repr(ladder)
         # and the seminorms of the expanded powers, to rounding
@@ -246,7 +248,7 @@ def test_sandwich_components_match_their_own_estimates(spec, psi, fast_cfg):
     # norm_bounds and operator_report search all components in one joint
     # refinement; each must be bit for bit its own estimator's interval
     d = parse_domain(spec)
-    ceiling = _bloch_norm_ceiling(d, psi)
+    ceiling = _ceiling(d, psi, "bloch")
     alone = {"sup": supnorm_estimate(d, psi, fast_cfg),
              "bloch": bloch_norm_estimate(d, psi, fast_cfg, certified_upper=ceiling),
              "sigma": sigma_estimate(d, psi, fast_cfg),
@@ -265,8 +267,6 @@ def test_sandwich_components_match_their_own_estimates(spec, psi, fast_cfg):
 
 
 def test_disk_factor_branch_reads_its_own_estimates(tiny_cfg, monkeypatch):
-    from blochkit import bloch
-
     calls = []
     real = bloch._sup_estimates
 
@@ -285,12 +285,45 @@ def test_disk_factor_branch_reads_its_own_estimates(tiny_cfg, monkeypatch):
         assert rep.verdict == verdict
         sup = supnorm_estimate(d, psi, tiny_cfg)
         norm = bloch_norm_estimate(d, psi, tiny_cfg,
-                                   certified_upper=_bloch_norm_ceiling(d, psi))
+                                   certified_upper=_ceiling(d, psi, "bloch"))
         expected = ("sampled sup-norm exceeds one" if sup.lower > 1.0 + 1e-9
                     else "sampled Bloch norm exceeds one" if norm.lower > 1.0 + 1e-9
                     else "certified Bloch norm stays below one" if norm.upper < 1.0 - 1e-9
                     else "necessary conditions hold within sampling resolution")
         assert rep.reason == expected
+
+
+@pytest.mark.parametrize("spec", ["ball:3", "polydisk:3", "product(ball:2,disk)"])
+def test_single_components_evaluate_only_what_they_read(spec, monkeypatch):
+    # a lone seminorm or weight never evaluates psi, and a lone sup-norm
+    # never its gradient: each costs one kernel call per scan
+    d = parse_domain(spec)
+    psi = parse_symbol("0.3 + z1*z2 - 0.5*z3^2 + (0.2+0.1i)*z1^3", 3)
+    cfg = SamplingConfig(samples=50000, seed=42, refine_restarts=0)
+    asks = {"beta": lambda: beta_estimate(d, psi, cfg),
+            "bloch": lambda: bloch_norm_estimate(d, psi, cfg),
+            "sigma": lambda: sigma_estimate(d, psi, cfg),
+            "sigma0": lambda: sigma_estimate(d, psi, cfg, which="sigma0"),
+            "sup": lambda: supnorm_estimate(d, psi, cfg)}
+    expected = {name: repr(ask()) for name, ask in asks.items()}
+
+    def refuse(*args):
+        raise AssertionError("evaluated what no requested component reads")
+
+    for patched, names in (("evaluate_many", ("beta", "bloch", "sigma", "sigma0")),
+                           ("gradient_many", ("sup",))):
+        with monkeypatch.context() as m:
+            m.setattr(bloch, patched, refuse)
+            for name in names:
+                assert repr(asks[name]()) == expected[name]
+
+
+def test_constant_components_do_not_read_the_config():
+    d, psi = ball(2), constant(2.0 - 1.5j, 2)
+    assert beta_estimate(d, psi, None) == EstimateInterval(0.0, 0.0, "exact")
+    assert bloch_norm_estimate(d, psi, None) == EstimateInterval(2.5, 2.5, "exact")
+    nb = norm_bounds(d, psi, None, space="B0*")
+    assert (nb.lower, nb.upper, nb.sigma.upper) == (2.5, 2.5, 0.0)
 
 
 @pytest.mark.parametrize("spec,text", [
