@@ -1,4 +1,5 @@
-"""Best-of-N timings of blochkit's refinement layers for one checkout.
+"""Per-invocation best timings of blochkit's refinement layers for one
+checkout, summarized across invocations.
 
     python3 benchmarks/layers.py --root <checkout> --label <name> --out <file.json>
 
@@ -15,6 +16,9 @@ round:
   symbol on each of ball:3, polydisk:3 and product(ball:2,disk), with
   50 000 samples and no refinement, as the scan workload of perfbench
   asks single components;
+- kernel.single and kernel.batch: `evaluate_many` plus `gradient_many`
+  at one point on the expanded psi^16 (153 terms) of the first ball:5
+  ladder symbol, and at 20 000 points on the 10-term scan symbol;
 - cli.beta and cli.sigma: one in-process `blochkit beta` / `sigma` call
   on ball:2 with a cubic symbol and the default 20 000 samples, output
   captured;
@@ -22,12 +26,14 @@ round:
 
 Other sampled sups use 1000 samples (1024 for the ladder), 2 restarts and
 20 golden-section steps, as the refine workload of perfbench does. BLAS runs
-on one thread. The results are merged into the JSON file at --out under
---label, next to an environment block (CPU count, Python, numpy and scipy
-versions, kernel backend), so two runs with one --out on one machine give
-a before/after pair. Measuring the same code under the same label again
-keeps the best of all its invocations; alternate the two checkouts over
-several invocations when the machine's speed drifts.
+on one thread. Each invocation's bests are merged into the JSON file at
+--out under --label, next to an environment block (CPU count, Python,
+numpy and scipy versions, kernel backend). Measuring the same code under
+the same label again appends the invocation, and the label reports the
+median and quartiles of the per-invocation bests. A process can run in a
+faster or slower speed mode than the next, so alternate the two
+checkouts over several invocations and compare medians against the
+quartiles' spread.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -48,6 +55,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROUNDS = 7
 SUITE_ROUNDS = 3
+KERNEL_ROUNDS = 50
 CUBICS = ("(0.3-0.2i) + (0.7+0.1i)*z1 + (-0.4+0.5i)*z1*z2 + (0.2-0.6i)*z2^3",
           "(0.5+0.5i)*z2 + (-0.8+0.2i)*z1^2 + (0.3+0.1i)*z1^2*z2 + (0.1-0.9i)*z1*z2^2",
           "(0.9-0.1i)*z1 + (0.2+0.4i)*z2^2 + (-0.5-0.3i)*z1*z2 + (0.6+0.2i)*z1^3")
@@ -69,6 +77,13 @@ def best_of(rounds: int, fn) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def summary(values) -> dict:
+    """Median and quartiles of one layer's per-invocation bests."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def code_digest(root: Path) -> str:
@@ -105,6 +120,13 @@ def measure(bk, verify, cli) -> dict:
     out["scan_singles_s"] = best_of(ROUNDS, lambda: [
         (bk.beta_estimate(d, psi, scan_cfg), bk.sigma_estimate(d, psi, scan_cfg))
         for d, psi in scans])
+    d5, psi5 = ladder[1]
+    kernels = {"kernel.single_s": (bk.combine("power", psi5, 16),
+                                   bk.sample_interior(d5, 1, 7)),
+               "kernel.batch_s": (scans[0][1], bk.sample_interior(scans[0][0], 20000, 7))}
+    for name, (psi, Z) in kernels.items():
+        out[name] = best_of(KERNEL_ROUNDS, lambda psi=psi, Z=Z: (
+            bk.evaluate_many(psi, Z), bk.gradient_many(psi, Z)))
     for command in ("beta", "sigma"):
         argv = [command, "--domain", "ball:2", "--symbol", CUBICS[0]]
         out[f"cli.{command}_s"] = best_of(ROUNDS, lambda argv=argv: cli_call(cli, argv))
@@ -132,22 +154,24 @@ def main(argv=None) -> int:
                    "numpy": numpy.__version__, "scipy": scipy.__version__,
                    "backend": bk.backend_name(), "blas_threads": 1,
                    "rounds": {"layers": ROUNDS, "norm_bounds": 2 * ROUNDS,
-                              "suites": SUITE_ROUNDS, "statistic": "best"}}
-    record = {"code_sha256": code_digest(root), "invocations": 1,
-              "seconds": measure(bk, verify, cli)}
+                              "kernels": KERNEL_ROUNDS, "suites": SUITE_ROUNDS,
+                              "statistic": "best per invocation; median and "
+                                           "quartiles across invocations"}}
+    best = measure(bk, verify, cli)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if data.get("environment", environment) != environment:
         raise SystemExit(f"{args.out} was written under another environment")
     data["environment"] = environment
-    old = data.setdefault("runs", {}).get(args.label)
-    if old is not None and old["code_sha256"] == record["code_sha256"]:
-        # the same code measured again: keep the best of every invocation
-        record["invocations"] += old["invocations"]
-        record["seconds"] = {k: min(v, old["seconds"].get(k, v))
-                             for k, v in record["seconds"].items()}
+    record = data.setdefault("runs", {}).get(args.label)
+    if record is None or record["code_sha256"] != code_digest(root):
+        record = {"code_sha256": code_digest(root), "bests": []}
+    # the same code measured again: one more invocation's bests
+    record["bests"].append(best)
+    record["invocations"] = len(record["bests"])
+    record["seconds"] = {name: summary([b[name] for b in record["bests"]]) for name in best}
     data["runs"][args.label] = record
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(json.dumps({args.label: record}, indent=1))
+    print(json.dumps({args.label: record["seconds"]}, indent=1))
     return 0
 
 

@@ -43,7 +43,8 @@ from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
 from .metric import (RHO_UPPER_PAD, geometry, metric_matrix, rho_from_origin,
                      _outside, _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
-                      gradient, gradient_family, gradient_many, is_constant)
+                      gradient, gradient_family, gradient_many, is_constant,
+                      jet_many)
 
 CONSISTENT = "consistent-with-membership"
 AGAINST = "evidence-against"
@@ -54,9 +55,8 @@ AGAINST = "evidence-against"
 
 def q_values(d: DomainDescriptor, f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
     """Batch Q_f over rows of Z (assumed interior)."""
-    q = geometry(d).q
     Z = np.asarray(Z, dtype=np.complex128)
-    return q(Z, gradient_many(f, Z))
+    return geometry(d).q(Z, gradient_many(f, Z))
 
 
 def q_value(d: DomainDescriptor, f: SymbolExpr, z) -> float:
@@ -232,14 +232,15 @@ def _symbol_sups(d: DomainDescriptor, psi: SymbolExpr, parts, cfg: SamplingConfi
                  reads="vq") -> list[tuple[float, np.ndarray, int]]:
     """Sampled sups of several functions part(v, q, Z) of one symbol, with
     v = |psi| and q = Q_psi at the rows of Z, from one `_sup_estimates`
-    call: psi and its gradient are evaluated once per scan and once per
-    refinement step, and each row keeps its own member's part. `reads`
+    call: one `jet_many` call per scan and per refinement step gives psi
+    and its gradient, and each row keeps its own member's part. `reads`
     holds what the parts read, "v", "q" or both; the other is passed as
     None and never evaluated."""
 
     def values(Z):
-        v = np.abs(evaluate_many(psi, Z)) if "v" in reads else None
-        q = q_values(d, psi, Z) if "q" in reads else None
+        vals, grads = jet_many(psi, Z, "v" in reads, "q" in reads)
+        v = None if vals is None else np.abs(vals)
+        q = None if grads is None else geometry(d).q(Z, grads)
         return np.stack([part(v, q, Z) for part in parts])
 
     def rows(P, which):

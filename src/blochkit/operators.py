@@ -32,8 +32,8 @@ from .domains import DomainDescriptor, Kind, sample_interior
 from .errors import UsageError
 from .estimates import EstimateInterval, SamplingConfig
 from .metric import _require_metric, geometry
-from .symbols import (Polynomial, SymbolExpr, combine, constant, evaluate,
-                      evaluate_many, is_constant, power_within_caps,
+from .symbols import (DEGREE_CAP, Polynomial, SymbolExpr, combine, constant,
+                      evaluate, evaluate_many, is_constant, power_within_caps,
                       supnorm_upper)
 
 DEFAULT_BOUNDARY_EPS = (0.1, 0.01, 1e-3, 1e-4)
@@ -404,7 +404,8 @@ class IsometryReport:
 def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
                      cfg: SamplingConfig = SamplingConfig(),
                      k_max: int = 16) -> IsometryReport:
-    """Three branches.
+    """Three branches, after checking that `k_max`, the number of powers
+    |psi(0)|^k reported, lies in [1, DEGREE_CAP].
 
     1. Constant symbols: isometry iff unimodular.
     2. Non-constant symbol on a domain whose seminorm ceiling is below
@@ -423,6 +424,8 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
        not-isometry-evidence, anything else is inconclusive (no theorem
        covers this case).
     """
+    if not 1 <= k_max <= DEGREE_CAP:
+        raise UsageError(f"k_max must lie in [1, {DEGREE_CAP}], got {k_max}")
     c = is_constant(psi)
     if c is not None:
         if abs(abs(c) - 1.0) <= 1e-12:

@@ -269,14 +269,6 @@ def _poly_arrays(poly: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     return pows, coeffs
 
 
-def _check_points(f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.complex128)
-    if Z.ndim != 2 or Z.shape[1] != f.arity:
-        raise DimensionMismatch(
-            f"points have shape {Z.shape}, expected (m, {f.arity})")
-    return Z
-
-
 def _log_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     if np.any(den == 0):
         raise BranchCutError("log-fraction pole")
@@ -297,80 +289,76 @@ def _logfrac_values(f: LogFrac, Zk: np.ndarray) -> np.ndarray:
     return 0.5 * _log_ratio(num, den)
 
 
-def _logfrac_deriv(f: LogFrac, Zk: np.ndarray) -> np.ndarray:
-    w = f.w
-    if f.form == "f":
-        den = 1.0 - np.conj(w) ** 2 * Zk ** 2
-        if np.any(den == 0):
-            raise BranchCutError("log-fraction pole")
-        return np.conj(w) / den
-    aw = abs(w)
-    den = aw * aw - Zk ** 2 * np.conj(w) ** 2
+def _logfrac_grad(f: LogFrac, Z: np.ndarray) -> np.ndarray:
+    w, Zk, aw = f.w, Z[:, f.k - 1], abs(f.w)
+    num, den = ((np.conj(w), 1.0 - np.conj(w) ** 2 * Zk ** 2) if f.form == "f"
+                else (aw * np.conj(w), aw * aw - Zk ** 2 * np.conj(w) ** 2))
     if np.any(den == 0):
         raise BranchCutError("log-fraction pole")
-    return aw * np.conj(w) / den
+    out = np.zeros(Z.shape, dtype=np.complex128)
+    out[:, f.k - 1] = num / den
+    return out
+
+
+def jet_many(f: SymbolExpr, Z: np.ndarray, value: bool = True,
+             grad: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Values, shape (m,), and holomorphic gradients, shape (m, arity),
+    of f at the rows of Z from one walk of its tree. The half not asked
+    for is None and is not computed; a product or power still evaluates
+    its parts for their gradients."""
+    Z = np.asarray(Z, dtype=np.complex128)
+    if Z.ndim != 2 or Z.shape[1] != f.arity:
+        raise DimensionMismatch(f"points have shape {Z.shape}, expected (m, {f.arity})")
+    m, n = Z.shape
+    if isinstance(f, Polynomial):
+        pows, coeffs = _poly_arrays(f)
+        Z = np.ascontiguousarray(Z)
+        if not grad:
+            return _kernels.poly_eval(pows, coeffs, Z), None
+        if not value:
+            return None, _kernels.poly_grad(pows, coeffs, Z)
+        return _kernels.poly_jet(pows, coeffs, Z)
+    if isinstance(f, LogFrac):
+        return (_logfrac_values(f, Z[:, f.k - 1]) if value else None,
+                _logfrac_grad(f, Z) if grad else None)
+    if isinstance(f, Sum):
+        vals, grads = zip(*(jet_many(p, Z, value, grad) for p in f.parts))
+        # in order onto +0, as the kernels add their terms
+        return (sum(vals, np.zeros(m, dtype=np.complex128)) if value else None,
+                sum(grads, np.zeros((m, n), dtype=np.complex128)) if grad else None)
+    if isinstance(f, Product):
+        parts = [jet_many(p, Z, True, grad) for p in f.parts]
+        v = np.ones(m, dtype=np.complex128)
+        for pv, _ in parts:
+            v *= pv
+        if not grad:
+            return v, None
+        # prefix/suffix products avoid dividing by zero values
+        k = len(parts)
+        pre = np.ones((k, m), dtype=np.complex128)
+        suf = np.ones((k, m), dtype=np.complex128)
+        for i in range(1, k):
+            pre[i] = pre[i - 1] * parts[i - 1][0]
+            suf[k - 1 - i] = suf[k - i] * parts[k - i][0]
+        g = np.zeros((m, n), dtype=np.complex128)
+        for i, (_, pg) in enumerate(parts):
+            g += pg * (pre[i] * suf[i])[:, None]
+        return (v if value else None), g
+    if isinstance(f, Power):
+        bv, bg = jet_many(f.base, Z, True, grad)
+        return ((bv ** f.exponent if value else None),
+                (bg * (f.exponent * bv ** (f.exponent - 1))[:, None] if grad else None))
+    raise UsageError(f"cannot evaluate {type(f).__name__}")
 
 
 def evaluate_many(f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
     """Values of f at each row of Z, shape (m,)."""
-    Z = _check_points(f, Z)
-    if isinstance(f, Polynomial):
-        pows, coeffs = _poly_arrays(f)
-        if len(coeffs) == 0:
-            return np.zeros(Z.shape[0], dtype=np.complex128)
-        return _kernels.poly_eval(pows, coeffs, np.ascontiguousarray(Z))
-    if isinstance(f, LogFrac):
-        return _logfrac_values(f, Z[:, f.k - 1])
-    if isinstance(f, Sum):
-        out = np.zeros(Z.shape[0], dtype=np.complex128)
-        for p in f.parts:
-            out += evaluate_many(p, Z)
-        return out
-    if isinstance(f, Product):
-        out = np.ones(Z.shape[0], dtype=np.complex128)
-        for p in f.parts:
-            out *= evaluate_many(p, Z)
-        return out
-    if isinstance(f, Power):
-        return evaluate_many(f.base, Z) ** f.exponent
-    raise UsageError(f"cannot evaluate {type(f).__name__}")
+    return jet_many(f, Z, grad=False)[0]
 
 
 def gradient_many(f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
     """Holomorphic gradients at each row of Z, shape (m, arity)."""
-    Z = _check_points(f, Z)
-    m, n = Z.shape
-    if isinstance(f, Polynomial):
-        pows, coeffs = _poly_arrays(f)
-        if len(coeffs) == 0:
-            return np.zeros((m, n), dtype=np.complex128)
-        return _kernels.poly_grad(pows, coeffs, np.ascontiguousarray(Z))
-    if isinstance(f, LogFrac):
-        out = np.zeros((m, n), dtype=np.complex128)
-        out[:, f.k - 1] = _logfrac_deriv(f, Z[:, f.k - 1])
-        return out
-    if isinstance(f, Sum):
-        out = np.zeros((m, n), dtype=np.complex128)
-        for p in f.parts:
-            out += gradient_many(p, Z)
-        return out
-    if isinstance(f, Product):
-        vals = [evaluate_many(p, Z) for p in f.parts]
-        # prefix/suffix products avoid dividing by zero values
-        k = len(f.parts)
-        pre = np.ones((k, m), dtype=np.complex128)
-        suf = np.ones((k, m), dtype=np.complex128)
-        for i in range(1, k):
-            pre[i] = pre[i - 1] * vals[i - 1]
-            suf[k - 1 - i] = suf[k - i] * vals[k - i]
-        out = np.zeros((m, n), dtype=np.complex128)
-        for i, p in enumerate(f.parts):
-            out += gradient_many(p, Z) * (pre[i] * suf[i])[:, None]
-        return out
-    if isinstance(f, Power):
-        vals = evaluate_many(f.base, Z)
-        return gradient_many(f.base, Z) * (f.exponent * vals ** (f.exponent - 1))[:, None]
-    raise UsageError(f"cannot differentiate {type(f).__name__}")
+    return jet_many(f, Z, value=False)[1]
 
 
 def gradient_family(fs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

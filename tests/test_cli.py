@@ -167,6 +167,23 @@ def test_isometry_with_power_depth(capsys):
     assert "modulus-at-zero" in names
 
 
+@pytest.mark.parametrize("k", ["0", "-3", "65", str(10**9)])
+def test_isometry_depth_outside_the_degree_cap_is_a_usage_error(capsys, k):
+    rc = main(["isometry", "--domain", "ball:2", "--symbol", "0.5+0.4*z1", "--k", k])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "k_max must lie in [1, 64]" in captured.err
+
+
+def test_isometry_depth_at_the_degree_cap(capsys):
+    rc, out = run_cli(capsys, ["isometry", "--domain", "ball:2", "--symbol", "0.5+0.4*z1",
+                               "--samples", "400", "--k", "64"])
+    assert rc == 0
+    rows = [r["name"] for r in json.loads(out)["results"]]
+    assert "modulus-power-64" in rows and "modulus-power-65" not in rows
+
+
 def test_verify_single_suite(capsys):
     rc, out = run_cli(capsys, ["verify", "--suite", "constants", "--seed", "42"])
     assert rc == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blochkit import _kernels as kernels
-from blochkit import backend_name
+from blochkit import backend_name, ball, sample_interior
 
 
 def _random_case(seed, nterms=6, arity=3, npoints=40):
@@ -13,10 +13,18 @@ def _random_case(seed, nterms=6, arity=3, npoints=40):
     return pows, coeffs, Z
 
 
+def _schedules(pows, coeffs, Z):
+    """(values, gradients) from the power table and from the term loop,
+    called directly whatever the point count."""
+    jet = kernels._jet(*kernels._key(pows, coeffs))
+    blocks = [jet.value, jet.grad]
+    for vals, grad in (kernels._table(jet.powers, blocks, Z), kernels._loop(blocks, Z)):
+        yield vals[:, 0], grad
+
+
 def test_numpy_eval_matches_direct_sum():
     pows, coeffs, Z = _random_case(0)
-    for kernel in (kernels.poly_eval_loop, kernels.poly_eval_table):
-        vals = kernel(pows, coeffs, Z)
+    for vals, _ in _schedules(pows, coeffs, Z):
         for i in range(Z.shape[0]):
             direct = sum(c * np.prod(Z[i] ** p) for p, c in zip(pows, coeffs))
             assert vals[i] == pytest.approx(direct, rel=1e-12)
@@ -24,8 +32,7 @@ def test_numpy_eval_matches_direct_sum():
 
 def test_numpy_grad_matches_finite_difference():
     pows, coeffs, Z = _random_case(1, npoints=10)
-    for kernel in (kernels.poly_grad_loop, kernels.poly_grad_table):
-        G = kernel(pows, coeffs, Z)
+    for _, G in _schedules(pows, coeffs, Z):
         h = 1e-7
         for i in range(Z.shape[0]):
             for k in range(Z.shape[1]):
@@ -72,14 +79,70 @@ def test_table_kernel_matches_loop_bitwise():
         pows = np.asarray(pows, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         Z = np.asarray(Z, dtype=np.complex128)
-        loop_vals = kernels.poly_eval_loop(pows, coeffs, Z)
-        loop_grad = kernels.poly_grad_loop(pows, coeffs, Z)
-        for vals in (kernels.poly_eval_table(pows, coeffs, Z), kernels.poly_eval(pows, coeffs, Z)):
+        (table_vals, table_grad), (loop_vals, loop_grad) = _schedules(pows, coeffs, Z)
+        for vals in (table_vals, kernels.poly_eval(pows, coeffs, Z)):
             assert vals.shape == loop_vals.shape
             np.testing.assert_array_equal(_bits(vals), _bits(loop_vals))
-        for grad in (kernels.poly_grad_table(pows, coeffs, Z), kernels.poly_grad(pows, coeffs, Z)):
+        for grad in (table_grad, kernels.poly_grad(pows, coeffs, Z)):
             assert grad.shape == loop_grad.shape
             np.testing.assert_array_equal(_bits(grad), _bits(loop_grad))
+
+
+def _scan_case():
+    # a 10-term degree-5 symbol on ball:3
+    rng = np.random.default_rng(3)
+    pows = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
+                     [0, 1, 1], [2, 0, 0], [0, 0, 2], [1, 1, 1], [2, 1, 2]])
+    coeffs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    return pows, coeffs
+
+
+def test_rows_do_not_depend_on_the_batch():
+    # above 16 384 rows numpy multiplies an unchunked loop's temporaries in
+    # place; in chunks every row keeps the bits it has alone
+    pows, coeffs = _scan_case()
+    Z = sample_interior(ball(3), 50000, 42)
+    head = np.ascontiguousarray(Z[:32])
+    np.testing.assert_array_equal(_bits(kernels.poly_eval(pows, coeffs, Z)[:32]),
+                                  _bits(kernels.poly_eval(pows, coeffs, head)))
+    np.testing.assert_array_equal(_bits(kernels.poly_grad(pows, coeffs, Z)[:32]),
+                                  _bits(kernels.poly_grad(pows, coeffs, head)))
+
+
+@pytest.mark.parametrize("pows", [[[2, 1, 3]], [[3]]])
+def test_one_point_matches_its_row_in_a_batch(pows):
+    # numpy multiplies a lone complex element without the fused multiply-add
+    # of its vector loop: a one-term value, or a one-coordinate gradient, at
+    # one point must still keep its bits from a batch and from a family
+    rng = np.random.default_rng(5)
+    pows = np.array(pows, dtype=np.int64)
+    n = pows.shape[1]
+    other = (rng.integers(0, 4, size=(4, n)), rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    for _ in range(20):
+        coeffs = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+        Z = 0.4 * (rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n)))
+        vals, grad = kernels.poly_jet(pows, coeffs, Z)
+        alone = Z[:1].copy()
+        np.testing.assert_array_equal(_bits(kernels.poly_eval(pows, coeffs, alone)), _bits(vals[:1]))
+        np.testing.assert_array_equal(_bits(kernels.poly_grad(pows, coeffs, alone)), _bits(grad[:1]))
+        family = kernels.poly_grad_family([(pows, coeffs), other])(alone, np.array([0]))
+        np.testing.assert_array_equal(_bits(family), _bits(grad[:1]))
+
+
+@pytest.mark.parametrize("m", [1, 32, 33, 20000])
+def test_jet_matches_eval_and_grad_bitwise(m):
+    rng = np.random.default_rng(m)
+    Z = sample_interior(ball(3), m, 7) if m > 1 else np.array([[0.3 - 0.1j, 0.2j, -0.4]])
+    cases = [_scan_case(), (np.array([[2, 0, 1]]), np.array([0.7 - 0.3j])),
+             (np.array([[0, 0, 0]]), np.array([complex(-1.0, -0.0)]))]
+    pows = rng.integers(0, 4, size=(7, 3))
+    cases.append((pows, rng.standard_normal(7) + 1j * rng.standard_normal(7)))
+    for pows, coeffs in cases:
+        pows = np.asarray(pows, dtype=np.int64)
+        vals, grad = kernels.poly_jet(pows, coeffs, Z)
+        assert vals.shape == (m,) and grad.shape == (m, 3)
+        np.testing.assert_array_equal(_bits(vals), _bits(kernels.poly_eval(pows, coeffs, Z)))
+        np.testing.assert_array_equal(_bits(grad), _bits(kernels.poly_grad(pows, coeffs, Z)))
 
 
 def _family_members():
@@ -107,7 +170,7 @@ def test_family_kernel_matches_each_member_bitwise(m):
     assert grad.shape == Z.shape
     for i in range(m):
         pows, coeffs = members[which[i]]
-        alone = kernels.poly_grad_table(pows, coeffs, Z[i:i + 1])
+        alone = kernels.poly_grad(pows, coeffs, Z[i:i + 1])
         np.testing.assert_array_equal(_bits(grad[i:i + 1]), _bits(alone))
 
 

@@ -36,7 +36,7 @@ from blochkit import (
     spectrum_cloud,
     supnorm_estimate,
 )
-from blochkit import bloch
+from blochkit import _kernels, bloch
 from blochkit.errors import AmbiguousConstantError, UsageError
 from blochkit.operators import (
     _RADIAL_PEAK,
@@ -295,27 +295,38 @@ def test_disk_factor_branch_reads_its_own_estimates(tiny_cfg, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["ball:3", "polydisk:3", "product(ball:2,disk)"])
 def test_single_components_evaluate_only_what_they_read(spec, monkeypatch):
-    # a lone seminorm or weight never evaluates psi, and a lone sup-norm
-    # never its gradient: each costs one kernel call per scan
+    # a lone seminorm or weight samples no value sum of psi's jet, and a
+    # lone sup-norm no gradient sum, in the scan (the term loop) or in the
+    # refinement steps (the power table)
     d = parse_domain(spec)
     psi = parse_symbol("0.3 + z1*z2 - 0.5*z3^2 + (0.2+0.1i)*z1^3", 3)
-    cfg = SamplingConfig(samples=50000, seed=42, refine_restarts=0)
+    cfg = SamplingConfig(samples=50000, seed=42, refine_restarts=1, refine_iters=3)
     asks = {"beta": lambda: beta_estimate(d, psi, cfg),
             "bloch": lambda: bloch_norm_estimate(d, psi, cfg),
             "sigma": lambda: sigma_estimate(d, psi, cfg),
             "sigma0": lambda: sigma_estimate(d, psi, cfg, which="sigma0"),
             "sup": lambda: supnorm_estimate(d, psi, cfg)}
     expected = {name: repr(ask()) for name, ask in asks.items()}
+    computed = set()
 
-    def refuse(*args):
-        raise AssertionError("evaluated what no requested component reads")
+    def spy(schedule, at):
+        def run(*args):
+            # psi has three coordinates: one value sum, three gradient sums
+            computed.update((schedule.__name__, "value" if len(sums.counts) == 1 else "grad")
+                            for sums in args[at])
+            return schedule(*args)
+        return run
 
-    for patched, names in (("evaluate_many", ("beta", "bloch", "sigma", "sigma0")),
-                           ("gradient_many", ("sup",))):
-        with monkeypatch.context() as m:
-            m.setattr(bloch, patched, refuse)
-            for name in names:
-                assert repr(asks[name]()) == expected[name]
+    # the blocks of sums are the second argument of the table, the first of the loop
+    for schedule, at in ((_kernels._table, 1), (_kernels._loop, 0)):
+        monkeypatch.setattr(_kernels, schedule.__name__, spy(schedule, at))
+    for name, ask in asks.items():
+        computed.clear()
+        assert repr(ask()) == expected[name]
+        read = "value" if name == "sup" else "grad"
+        # the Bloch norm adds |psi(0)|, one value at one point
+        extra = {("_table", "value")} if name == "bloch" else set()
+        assert computed == {("_loop", read), ("_table", read)} | extra, name
 
 
 def test_constant_components_do_not_read_the_config():
@@ -324,6 +335,24 @@ def test_constant_components_do_not_read_the_config():
     assert bloch_norm_estimate(d, psi, None) == EstimateInterval(2.5, 2.5, "exact")
     nb = norm_bounds(d, psi, None, space="B0*")
     assert (nb.lower, nb.upper, nb.sigma.upper) == (2.5, 2.5, 0.0)
+
+
+@pytest.mark.parametrize("k_max", [0, -3, 65, 10**9])
+def test_isometry_depth_is_checked_before_any_work(k_max):
+    # a constant symbol would otherwise be answered at once, and a depth of
+    # 10**9 would list 10**9 modulus powers
+    start = time.perf_counter()
+    for psi in (parse_symbol("0.5+0.4*z1", 2), constant(1.0, 2)):
+        with pytest.raises(UsageError, match=r"k_max must lie in \[1, 64\]"):
+            isometry_verdict(ball(2), psi, None, k_max=k_max)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_isometry_depth_at_the_degree_cap(tiny_cfg):
+    rep = isometry_verdict(ball(2), parse_symbol("0.5+0.4*z1", 2), tiny_cfg, k_max=64)
+    assert len(rep.modulus_powers) == 64
+    assert rep.modulus_powers[-1] == pytest.approx(abs(0.5) ** 64, rel=1e-12)
+    assert rep.power_betas.keys() == {1, 2, 4, 8, 16}
 
 
 @pytest.mark.parametrize("spec,text", [

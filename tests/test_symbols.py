@@ -16,8 +16,10 @@ from blochkit import (
     supnorm_upper,
 )
 from blochkit.errors import BranchCutError, DimensionMismatch, ParseError, UsageError
-from blochkit.symbols import (DEGREE_CAP, TERM_CAP, LogFrac, Polynomial, format_complex,
-                              is_constant, power_within_caps)
+from blochkit import _kernels
+from blochkit.symbols import (DEGREE_CAP, TERM_CAP, LogFrac, Polynomial, Power, Product, Sum,
+                              _logfrac_grad, _logfrac_values, _poly_arrays,
+                              format_complex, is_constant, jet_many, power_within_caps)
 
 from conftest import mkpoly
 
@@ -249,6 +251,78 @@ def test_evaluate_checks_dimension():
     f = mkpoly(2, {(1, 0): 1.0})
     with pytest.raises(UsageError):
         evaluate(f, (0.1, 0.2, 0.3))
+
+
+def _formula_values(f, Z):
+    # values and gradients node by node, each part evaluated on its own
+    if isinstance(f, Polynomial):
+        return _kernels.poly_eval(*_poly_arrays(f), Z)
+    if isinstance(f, LogFrac):
+        return _logfrac_values(f, Z[:, f.k - 1])
+    if isinstance(f, Sum):
+        out = np.zeros(Z.shape[0], dtype=np.complex128)
+        for p in f.parts:
+            out += _formula_values(p, Z)
+        return out
+    if isinstance(f, Product):
+        out = np.ones(Z.shape[0], dtype=np.complex128)
+        for p in f.parts:
+            out *= _formula_values(p, Z)
+        return out
+    return _formula_values(f.base, Z) ** f.exponent
+
+
+def _formula_gradients(f, Z):
+    m, n = Z.shape
+    if isinstance(f, Polynomial):
+        return _kernels.poly_grad(*_poly_arrays(f), Z)
+    if isinstance(f, LogFrac):
+        return _logfrac_grad(f, Z)
+    if isinstance(f, Sum):
+        out = np.zeros((m, n), dtype=np.complex128)
+        for p in f.parts:
+            out += _formula_gradients(p, Z)
+        return out
+    if isinstance(f, Product):
+        vals = [_formula_values(p, Z) for p in f.parts]
+        k = len(f.parts)
+        pre = np.ones((k, m), dtype=np.complex128)
+        suf = np.ones((k, m), dtype=np.complex128)
+        for i in range(1, k):
+            pre[i] = pre[i - 1] * vals[i - 1]
+            suf[k - 1 - i] = suf[k - i] * vals[k - i]
+        out = np.zeros((m, n), dtype=np.complex128)
+        for i, p in enumerate(f.parts):
+            out += _formula_gradients(p, Z) * (pre[i] * suf[i])[:, None]
+        return out
+    vals = _formula_values(f.base, Z)
+    return _formula_gradients(f.base, Z) * (f.exponent * vals ** (f.exponent - 1))[:, None]
+
+
+@pytest.mark.parametrize("m", [1, 32, 40])
+def test_jet_many_matches_the_node_formulas_bitwise(m):
+    poly = parse_symbol("0.3 - 0.2i + (0.5+0.1i)*z1*z2 - 0.4*z2^3", 2)
+    mono = parse_symbol("(0.7-0.2i)*z1^2", 2)
+    fw, h = LogFrac(2, 1, 0.4 - 0.3j, "f"), LogFrac(2, 2, 0.6j, "h")
+    symbols = [Sum(2, (poly, fw, h)), Product(2, (mono, fw, poly, h)),
+               Power(2, Sum(2, (fw, poly)), 3), Product(2, (Power(2, h, 2), Sum(2, (mono, fw))))]
+    rng = np.random.default_rng(m)
+    Z = 0.6 * np.sqrt(rng.random((m, 2))) * np.exp(2j * np.pi * rng.random((m, 2)))
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    for f in symbols:
+        vals, grads = _formula_values(f, Z), _formula_gradients(f, Z)
+        for value, grad in ((True, True), (True, False), (False, True)):
+            v, g = jet_many(f, Z, value, grad)
+            assert (v is None) != value and (g is None) != grad
+            if value:
+                np.testing.assert_array_equal(bits(v), bits(vals))
+            if grad:
+                np.testing.assert_array_equal(bits(g), bits(grads))
+        np.testing.assert_array_equal(bits(evaluate_many(f, Z)), bits(vals))
+        np.testing.assert_array_equal(bits(gradient_many(f, Z)), bits(grads))
 
 
 def test_gradient_many_shapes():
