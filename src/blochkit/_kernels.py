@@ -17,7 +17,9 @@ whatever the batch:
 - the term loop (`_loop`), for sample batches, amortizes its per-term
   overhead over the points, LOOP_CHUNK rows at a time: from 16 384
   complex128 rows (256 KiB) on, numpy multiplies a loop's temporaries in
-  place, which can round the last bit differently.
+  place, which can round the last bit differently. Each chunk raises
+  every distinct factor z_j^p of the asked sums once, and every term
+  multiplies its factors from those arrays.
 
 `poly_grad_family` gives row i the gradient of member which[i] of a tuple
 of polynomials from their gradient sums, stacked and padded to one
@@ -28,7 +30,7 @@ make one such call over all of their rows.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +47,25 @@ class _Sums:
     exponent 0 skipped, and its first counts[s] terms are its own (the
     rest are zero padding). A family stacks its members' sums on a
     leading axis of exps and coef. `index` and `live` gather the factors
-    from a table of the powers 0..top of every coordinate."""
+    from a table of the powers 0..top of every coordinate. For the term
+    loop, `terms[s]` lists the (coefficient, factors) of sum s's own
+    terms, each factor a (j, p) pair with p != 0 in ascending j, and
+    `pairs` the sorted distinct pairs of all the sums."""
 
     def __init__(self, exps: np.ndarray, coef: np.ndarray, top: int, counts=()):
         self.exps, self.coef, self.counts = exps, coef, counts
         self.index = np.moveaxis(exps + (top + 1) * np.arange(exps.shape[-1]), -1, 0)
         self.live = np.moveaxis(exps != 0, -1, 0)
+
+    @cached_property
+    def terms(self) -> list[list[tuple]]:
+        return [[(c, tuple((j, p) for j, p in enumerate(e) if p))
+                 for e, c in zip(self.exps[s, :count].tolist(), self.coef[s])]
+                for s, count in enumerate(self.counts)]
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        return sorted({f for terms in self.terms for _, fs in terms for f in fs})
 
 
 class _Jet(NamedTuple):
@@ -116,17 +131,20 @@ def _table(powers: np.ndarray, blocks, Z: np.ndarray,
 
 
 def _loop(blocks, Z: np.ndarray) -> list[np.ndarray]:
-    """The same sums by a loop over the terms, LOOP_CHUNK rows at a time."""
+    """The same sums by a loop over the terms, LOOP_CHUNK rows at a time,
+    raising each distinct factor once per chunk."""
     out = [np.zeros((Z.shape[0], len(sums.counts)), dtype=np.complex128) for sums in blocks]
+    pairs = sorted({f for sums in blocks for f in sums.pairs})
     for start in range(0, Z.shape[0], LOOP_CHUNK):
         Zc = Z[start:start + LOOP_CHUNK]
+        # z ** 1 is raised too, as in the power table: z itself can differ in a zero's sign
+        factor = {(j, p): Zc[:, j] ** np.int64(p) for j, p in pairs}
         for sums, block in zip(blocks, out):
-            for s, count in enumerate(sums.counts):
-                for exps, c in zip(sums.exps[s, :count], sums.coef[s]):
+            for s, terms in enumerate(sums.terms):
+                for c, fs in terms:
                     term = np.full(Zc.shape[0], c)
-                    for j, p in enumerate(exps):
-                        if p:
-                            term = term * Zc[:, j] ** p
+                    for f in fs:
+                        term = term * factor[f]
                     block[start:start + LOOP_CHUNK, s] += term
     return out
 

@@ -185,6 +185,19 @@ def _refine_max(d: DomainDescriptor, rows, starts,
     return best, Z
 
 
+def _descending(vals: np.ndarray, restarts: int) -> np.ndarray:
+    """`np.argsort(vals)[::-1]`, of which `_sup_estimates` reads the first
+    max(restarts, 1) entries. Without restarts only the top one is read,
+    and a maximum that occurs once and is not NaN is the argmax; ties and
+    NaNs keep the full sort, whose order among equals argmax does not
+    reproduce."""
+    if restarts == 0:
+        i = int(np.argmax(vals))
+        if not np.isnan(vals[i]) and np.count_nonzero(vals == vals[i]) == 1:
+            return np.array([i])
+    return np.argsort(vals)[::-1]
+
+
 def _sup_estimates(d: DomainDescriptor, values, rows,
                    cfg: SamplingConfig) -> list[tuple[float, np.ndarray, int]]:
     """Sampled sups of the K members of a family from one stratified
@@ -194,7 +207,7 @@ def _sup_estimates(d: DomainDescriptor, values, rows,
     member."""
     Z = sample_interior(d, cfg.samples, cfg.seed, cfg.shells)
     scans = values(Z)
-    orders = [np.argsort(vals)[::-1] for vals in scans]
+    orders = [_descending(vals, cfg.refine_restarts) for vals in scans]
     starts = [Z[order[: cfg.refine_restarts]] for order in orders]
     refined = iter(())
     if any(map(len, starts)):

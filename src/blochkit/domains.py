@@ -477,9 +477,10 @@ def sample_interior(d: DomainDescriptor, count: int, seed: int,
     [shell, next shell). Per-shell substreams keep the first half of a
     doubled draw identical, so sampled suprema never shrink when the
     sample count grows. A product stratifies each factor on its own
-    substream. The array is read-only: the last draw is remembered and
-    handed out again to a call with the same domain, count, seed and
-    shells.
+    substream. The array is read-only: the last two draws are remembered
+    and handed out again to a call with the same domain, count, seed and
+    shells, so a scan that alternates two sample counts on one domain
+    draws each once.
     """
     if count < 1:
         raise UsageError("sample count must be >= 1")
@@ -489,7 +490,7 @@ def sample_interior(d: DomainDescriptor, count: int, seed: int,
     return _draw(d, count, seed, shells)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _draw(d: DomainDescriptor, count: int, seed: int,
           shells: tuple[float, ...]) -> np.ndarray:
     if d.factors:

@@ -359,6 +359,32 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
         assert calls[0] == calls[1]
 
 
+@pytest.mark.parametrize("vals", [
+    [1.0, 3.0, 0.0, 2.0],             # one maximum: the argmax
+    [1.0, 3.0, 0.0, 3.0, 2.0],        # tied maxima
+    [1.0, np.nan, 3.0, np.nan, 2.0],  # NaNs
+    [-np.inf, -np.inf],
+], ids=["unique", "tied", "nan", "all-equal"])
+def test_top_of_a_scan_is_the_argsort_top(vals):
+    vals = np.array(vals)
+    order = np.argsort(vals)[::-1]
+    assert bloch._descending(vals, 0)[0] == order[0]
+    for restarts in (1, 3):
+        np.testing.assert_array_equal(bloch._descending(vals, restarts), order)
+
+
+def test_scan_without_restarts_reports_the_argsort_top_point():
+    d = ball(2)
+    cfg = SamplingConfig(samples=8, seed=3, refine_restarts=0)
+    Z = sample_interior(d, 8, 3)
+    for vals in ([0, 5, 1, 5, 2, 0, 5, 1], [0, np.nan, 1, 9, 2, 0, np.nan, 1]):
+        vals = np.array(vals, dtype=float)
+        (best, point, evals), = bloch._sup_estimates(d, lambda Z: vals[None], None, cfg)
+        top = np.argsort(vals)[::-1][0]
+        assert point.tobytes() == Z[top].tobytes()
+        assert evals == 8 and (best == vals[top] or np.isnan(best))
+
+
 # ---------------------------------------------------------------- growth scale
 
 

@@ -216,6 +216,15 @@ def test_sample_interior_remembers_its_last_draw():
         assert after.tobytes() == fresh.tobytes()
 
 
+def test_sample_interior_remembers_its_last_two_draws():
+    # a scan alternates 50 000-row and 12 500-row draws on one domain
+    d, shells = ball(3), (0.0, 0.5)
+    first = sample_interior(d, 50000, 6, shells)
+    quarter = sample_interior(d, 12500, 6, shells)
+    assert sample_interior(d, 50000, 6, shells) is first
+    assert sample_interior(d, 12500, 6, shells) is quarter
+
+
 def test_sample_interior_stratified_shells():
     # Points spread from the center out to very near the boundary.
     Z = sample_interior(disk(), 1000, seed=3)

@@ -109,6 +109,43 @@ def test_rows_do_not_depend_on_the_batch():
                                   _bits(kernels.poly_grad(pows, coeffs, head)))
 
 
+@pytest.mark.parametrize("m", [kernels.LOOP_CHUNK + 1, 2 * kernels.LOOP_CHUNK + 1])
+def test_lone_last_row_of_a_chunked_batch_keeps_its_bits(m):
+    # the loop's last chunk holds one row; multiplying its terms in place
+    # (out=) rounds that lone complex element differently in about one
+    # polynomial in six
+    rng = np.random.default_rng(m)
+    for _ in range(40):
+        n, t = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        pows = rng.integers(0, 6, size=(t, n)).astype(np.int64)
+        coeffs = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+        Z = 0.5 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        alone = Z[-1:].copy()
+        vals, grad = kernels.poly_jet(pows, coeffs, Z)
+        one_vals, one_grad = kernels.poly_jet(pows, coeffs, alone)
+        for batch, single in ((vals, one_vals), (grad, one_grad),
+                              (kernels.poly_eval(pows, coeffs, Z), one_vals),
+                              (kernels.poly_grad(pows, coeffs, Z), one_grad)):
+            np.testing.assert_array_equal(_bits(batch[-1:]), _bits(single))
+
+
+@pytest.mark.parametrize("m", [33, 8193, 20000])
+def test_loop_matches_table_bitwise_sweep(m):
+    # 1-5 coordinates, up to 30 terms, exponents up to 7, and a few rows
+    # holding exact zeros of either sign
+    rng = np.random.default_rng(1000 + m)
+    zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), -0.5j, -0.5])
+    for _ in range(8):
+        n, t = int(rng.integers(1, 6)), int(rng.integers(1, 31))
+        pows = rng.integers(0, 8, size=(t, n)).astype(np.int64)
+        coeffs = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+        Z = 0.5 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        Z[rng.integers(0, m, size=8)] = rng.choice(zeros, size=(8, n))
+        (table_vals, table_grad), (loop_vals, loop_grad) = _schedules(pows, coeffs, Z)
+        np.testing.assert_array_equal(_bits(loop_vals), _bits(table_vals))
+        np.testing.assert_array_equal(_bits(loop_grad), _bits(table_grad))
+
+
 @pytest.mark.parametrize("pows", [[[2, 1, 3]], [[3]]])
 def test_one_point_matches_its_row_in_a_batch(pows):
     # numpy multiplies a lone complex element without the fused multiply-add
