@@ -27,9 +27,10 @@ round:
 - kernel.single and kernel.batch: `evaluate_many` plus `gradient_many`
   at one point on the expanded psi^16 (153 terms) of the first ball:5
   ladder symbol, and at 20 000 points on the 10-term scan symbol;
-- cli.beta and cli.sigma: one in-process `blochkit beta` / `sigma` call
-  on ball:2 with a cubic symbol and the default 20 000 samples, output
-  captured;
+- cli.beta, cli.sigma, cli.bounds and cli.isometry: one in-process
+  `blochkit` call of that command on ball:2 with a cubic symbol and the
+  default 20 000 samples, and cli.rho: one `blochkit rho` call at a point
+  of ball:2, output captured;
 - the `isometry` and `norm-sandwich` verify suites at seed 42.
 
 Other sampled sups use 1000 samples (1024 for the ladder), 2 restarts and
@@ -163,8 +164,10 @@ def layers(bk, verify, cli) -> dict:
     for name, (psi, Z) in kernels.items():
         out[name] = (KERNEL_ROUNDS, lambda psi=psi, Z=Z: (
             bk.evaluate_many(psi, Z), bk.gradient_many(psi, Z)))
-    for command in ("beta", "sigma"):
-        argv = [command, "--domain", "ball:2", "--symbol", CUBICS[0]]
+    cli_argvs = {command: [command, "--domain", "ball:2", "--symbol", CUBICS[0]]
+                 for command in ("beta", "sigma", "bounds", "isometry")}
+    cli_argvs["rho"] = ["rho", "--domain", "ball:2", "--point", "0.3,0.4j"]
+    for command, argv in cli_argvs.items():
         out[f"cli.{command}_s"] = (ROUNDS, lambda argv=argv: cli_call(cli, argv))
     for suite in ("isometry", "norm-sandwich"):
         out[f"verify.{suite}_s"] = (SUITE_ROUNDS, lambda s=suite: verify.run_suite(s, 42))

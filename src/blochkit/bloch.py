@@ -35,13 +35,13 @@ from math import inf, sqrt
 import numpy as np
 
 from .domains import (DomainDescriptor, _as_point, _unit_directions,
-                      ball as ball_domain, contains, polydisk as polydisk_domain,
+                      ball as ball_domain, polydisk as polydisk_domain,
                       sample_interior, sample_near_distinguished_boundary)
 from .errors import OutsideDomainError, UsageError
 from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
                         MODE_SAMPLED_LOWER, SamplingConfig, exact)
 from .metric import (RHO_UPPER_PAD, geometry, metric_matrix, rho_from_origin,
-                     _outside, _require_metric)
+                     _outside, _require_interior, _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
                       gradient, gradient_family, gradient_many, is_constant,
                       jet_many)
@@ -62,8 +62,7 @@ def q_values(d: DomainDescriptor, f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
 def q_value(d: DomainDescriptor, f: SymbolExpr, z) -> float:
     """Closed-form Q_f(z) through the metric-inverse quadratic form."""
     z = _as_point(d, z)
-    if not contains(d, z):
-        raise OutsideDomainError(f"point not interior to {d}")
+    _require_interior(d, z)
     return float(q_values(d, f, z.reshape(1, -1))[0])
 
 
@@ -93,8 +92,7 @@ def q_value_oracle(d: DomainDescriptor, f: SymbolExpr, z, ndirs: int = 4096,
     if ndirs < 1:
         raise UsageError("ndirs must be >= 1")
     z = _as_point(d, z)
-    if not contains(d, z):
-        raise OutsideDomainError(f"point not interior to {d}")
+    _require_interior(d, z)
     g = gradient(f, z)
     if not np.any(g):
         return 0.0
@@ -368,8 +366,7 @@ def omega_empirical_lower(d: DomainDescriptor, z,
     is accepted and unused."""
     geo = geometry(d)
     z = _as_point(d, z)
-    if not contains(d, z):
-        raise OutsideDomainError(f"point not interior to {d}")
+    _require_interior(d, z)
     if little:
         return float(geo.growth(z[None], little=True)[0])
     return float(np.arctanh(geo.gauge(z[None]))[0])

@@ -5,6 +5,12 @@ sampling configuration, reports rendered as json (default), csv, or
 pretty text. Flag values override a --config key=value file, which
 overrides built-in defaults; BLOCHKIT_SEED overrides the default seed.
 
+`_COMMANDS` is the one table of subcommands: name -> help line, the
+inputs it requires among domain/symbol/point, and run. `_head` checks
+and parses those inputs and builds the report head; run adds the rows
+and verdicts, except that `verify` and `probe` return reports of their
+own. --eps-ladder is read by `bounds` and `probe omega0-blowup`.
+
 Exit codes: 0 success, 1 usage or parse error, 2 numerical-domain
 error, 3 verify-suite failure.
 """
@@ -23,7 +29,7 @@ from .bloch import (_components, beta_upper_poly, omega_bounds,
 from .constants import (bloch_constant, bloch_constant_candidates,
                         has_disk_factor, in_class_D, registry_table,
                         standard_form)
-from .domains import DomainDescriptor, parse_domain
+from .domains import parse_domain
 from .errors import (DimensionMismatch, NumericalDomainError, ParseError,
                      SuiteFailure, UsageError)
 from .estimates import DEFAULT_EPS_LADDER, SamplingConfig
@@ -33,11 +39,9 @@ from .operators import (_sandwich_parts, boundedness_verdict,
                         isometry_verdict, norm_bounds, operator_report,
                         spectrum_cloud)
 from .probes import PROBES, run_probe
-from .report import AnalysisReport, render, timings_enabled
+from .report import _RENDERERS, AnalysisReport, render, timings_enabled
 from .symbols import Polynomial, parse_symbol
 from .verify import SUITES, run_suite
-
-_FORMATS = ("json", "csv", "pretty")
 
 # one `beta` call peaks at up to 66 bytes per sample and per coordinate
 # (tracemalloc, disk to ball:10, linear in the sample count)
@@ -128,30 +132,14 @@ def build_parser() -> _Parser:
     common.add_argument("--eps-ladder", metavar="E1,E2,...")
     common.add_argument("--suite", choices=tuple(SUITES) + ("all",))
     common.add_argument("--out", metavar="FILE")
-    common.add_argument("--format", choices=_FORMATS)
+    common.add_argument("--format", choices=tuple(_RENDERERS))
     common.add_argument("--k", metavar="DEPTH")
 
     p = _Parser(prog="blochkit",
                 description="Bloch-space calculus and multiplication-operator "
                             "criteria on bounded symmetric domains.")
     sub = p.add_subparsers(dest="command", metavar="command")
-    helps = {
-        "domain": "describe a domain: dimension, class, constants",
-        "qf": "invariant gradient length of a symbol at a point",
-        "beta": "sampled Bloch seminorm of a symbol",
-        "omega": "extremal growth bounds at a point",
-        "rho": "metric distance from the origin to a point",
-        "sigma": "boundary multiplier weights of a symbol",
-        "bounds": "full boundedness report with the norm sandwich",
-        "opnorm": "operator-norm sandwich plus battery lower bound",
-        "spectrum": "sampled spectrum cloud summary",
-        "compactness": "compactness verdict with witness",
-        "isometry": "isometry verdict with power diagnostics",
-        "constants": "Bloch constant registry or one domain's constants",
-        "verify": "run a theorem suite (exit 3 on failure)",
-        "probe": "data table for one open question",
-    }
-    for name, h in helps.items():
+    for name, (h, _, _) in _COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=h)
         if name == "probe":
             sp.add_argument("question", nargs="?", choices=PROBES)
@@ -182,178 +170,143 @@ def _resolve(args) -> tuple[dict, str]:
         "k": _int(pick(args.k, "k") or 16, "--k"),
         "question": pick(getattr(args, "question", None), "question"),
     }
+    # None unless a flag or the config gives a ladder: each reader has its own default
     ladder = pick(getattr(args, "eps_ladder", None), "eps-ladder")
-    opts["eps_ladder"] = (_parse_floats(ladder, "--eps-ladder")
-                          if ladder else DEFAULT_EPS_LADDER)
+    opts["eps_ladder"] = _parse_floats(ladder, "--eps-ladder") if ladder else None
     fmt = pick(args.format, "format") or "json"
-    if fmt not in _FORMATS:
-        raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
+    if fmt not in _RENDERERS:
+        raise UsageError(f"format must be one of {', '.join(_RENDERERS)}")
     return opts, fmt
 
 
-def _need(opts, *what) -> list:
-    out = []
-    for w in what:
-        if opts.get(w) is None:
+def _head(command: str, inputs: tuple[str, ...], opts):
+    """The report head of `command` and its parsed domain, symbol and
+    point, each None unless among `inputs`. The domain and symbol flags
+    are checked present before either is parsed, and both are parsed
+    before the point is checked, so a bad domain is reported ahead of a
+    missing point."""
+    def need(w):
+        if opts[w] is None:
             raise UsageError(f"this command requires --{w}")
-        out.append(opts[w])
-    return out
+        return opts[w]
 
-
-def _domain_symbol(opts) -> tuple[DomainDescriptor, object, str]:
-    spec, text = _need(opts, "domain", "symbol")
-    d = parse_domain(spec)
-    return d, parse_symbol(text, d.ambient_dim), text
-
-
-def _base(command: str, opts, d=None, symbol: str | None = None) -> AnalysisReport:
+    spec, text = [need(w) if w in inputs else None for w in ("domain", "symbol")]
+    d = parse_domain(spec) if "domain" in inputs else None
+    psi = parse_symbol(text, d.ambient_dim) if "symbol" in inputs else None
+    z = parse_point(need("point"), d.ambient_dim) if "point" in inputs else None
     cfg = opts["cfg"]
-    return AnalysisReport(command=command, domain=None if d is None else str(d),
-                          symbol=symbol, seed=cfg.seed, samples=cfg.samples)
+    rep = AnalysisReport(command=command, domain=None if d is None else str(d),
+                         symbol=text, seed=cfg.seed, samples=cfg.samples)
+    return rep, d, psi, z
 
 
-def _run_domain(opts) -> AnalysisReport:
-    (spec,) = _need(opts, "domain")
-    d = parse_domain(spec)
-    rep = _base("domain", opts, d)
-    rep.add("ambient-dim", float(d.ambient_dim), mode="exact", ref="setup:descriptor")
+def _constant_rows(rep: AnalysisReport, d) -> tuple[dict, dict]:
+    """Add d's Bloch-constant rows; return its binding verdict (empty
+    unless the exceptional assignment is ambiguous) and class verdicts,
+    which `domain` and `constants` write in different orders."""
     rep.add("bloch-constant", bloch_constant(d), mode="exact",
             ref="constants:closed-forms")
     cit, swp = bloch_constant_candidates(d)
     rep.add("bloch-constant-swapped", swp, mode="exact",
             ref="constants:exceptional-ambiguity")
-    if cit != swp:
-        rep.verdicts["constant-binding"] = "ambiguous"
-    rep.verdicts["standard-form"] = standard_form(d)
-    rep.verdicts["in-class-D"] = str(in_class_D(d)).lower()
-    rep.verdicts["has-disk-factor"] = str(has_disk_factor(d)).lower()
-    rep.verdicts["metric-supported"] = str(d.metric_supported).lower()
-    return rep
+    return ({"constant-binding": "ambiguous"} if cit != swp else {},
+            {"standard-form": standard_form(d), "in-class-D": str(in_class_D(d)).lower()})
 
 
-def _run_qf(opts) -> AnalysisReport:
-    d, psi, text = _domain_symbol(opts)
-    (pt,) = _need(opts, "point")
-    z = parse_point(pt, d.ambient_dim)
-    rep = _base("qf", opts, d, text)
+# row name and ref of each norm component that sigma, bounds and opnorm print
+_PART_ROWS = {"sup": ("sup-norm", "norm:sup-component"),
+              "bloch": ("bloch-norm", "norm:bloch-component"),
+              "sigma": ("sigma", "weight:full-growth"),
+              "sigma0": ("sigma0", "weight:vanishing-growth")}
+
+
+def _add_parts(rep: AnalysisReport, **parts) -> None:
+    for key, est in parts.items():
+        name, ref = _PART_ROWS[key]
+        rep.add_interval(name, est, ref=ref)
+
+
+def _run_domain(rep, d, psi, z, opts):
+    rep.add("ambient-dim", float(d.ambient_dim), mode="exact", ref="setup:descriptor")
+    binding, classes = _constant_rows(rep, d)
+    rep.verdicts.update({**binding, **classes,
+                         "has-disk-factor": str(has_disk_factor(d)).lower(),
+                         "metric-supported": str(d.metric_supported).lower()})
+
+
+def _run_qf(rep, d, psi, z, opts):
     rep.add("q-value", q_value(d, psi, z), mode="exact", ref="q:closed-form")
-    return rep
 
 
-def _run_beta(opts) -> AnalysisReport:
-    d, psi, text = _domain_symbol(opts)
-    cfg = opts["cfg"]
+def _run_beta(rep, d, psi, z, opts):
     cert = beta_upper_poly(psi) if isinstance(psi, Polynomial) else None
-    parts = _components(d, psi, cfg, {"beta": cert, "bloch": None})
-    rep = _base("beta", opts, d, text)
+    parts = _components(d, psi, opts["cfg"], {"beta": cert, "bloch": None})
     rep.add_interval("beta", parts["beta"], ref="seminorm:sampled")
     rep.add_interval("bloch-norm", parts["bloch"], ref="seminorm:plus-origin-value")
-    return rep
 
 
-def _run_omega(opts) -> AnalysisReport:
-    (spec,) = _need(opts, "domain")
-    d = parse_domain(spec)
-    (pt,) = _need(opts, "point")
-    z = parse_point(pt, d.ambient_dim)
-    cfg = opts["cfg"]
-    rep = _base("omega", opts, d)
+def _run_omega(rep, d, psi, z, opts):
     rep.add_interval("omega", omega_bounds(d, z), ref="growth:bounds")
-    rep.add("omega0-lower", omega_empirical_lower(d, z, cfg, little=True),
+    rep.add("omega0-lower", omega_empirical_lower(d, z, opts["cfg"], little=True),
             mode="sampled-lower", ref="growth:vanishing-class-witness")
-    return rep
 
 
-def _run_rho(opts) -> AnalysisReport:
-    (spec,) = _need(opts, "domain")
-    d = parse_domain(spec)
-    (pt,) = _need(opts, "point")
-    z = parse_point(pt, d.ambient_dim)
-    rep = _base("rho", opts, d)
+def _run_rho(rep, d, psi, z, opts):
     rep.add_interval("rho", rho_from_origin(d, z), ref="distance:from-origin")
-    return rep
 
 
-def _run_sigma(opts) -> AnalysisReport:
-    d, psi, text = _domain_symbol(opts)
-    parts = _sandwich_parts(d, psi, opts["cfg"], ("sigma", "sigma0"))
-    rep = _base("sigma", opts, d, text)
-    rep.add_interval("sigma", parts["sigma"], ref="weight:full-growth")
-    rep.add_interval("sigma0", parts["sigma0"], ref="weight:vanishing-growth")
-    return rep
+def _run_sigma(rep, d, psi, z, opts):
+    _add_parts(rep, **_sandwich_parts(d, psi, opts["cfg"], ("sigma", "sigma0")))
 
 
-def _run_bounds(opts) -> AnalysisReport:
-    d, psi, text = _domain_symbol(opts)
-    cfg = opts["cfg"]
-    op = operator_report(d, psi, text, cfg)
-    rep = _base("bounds", opts, d, text)
-    rep.add_interval("sup-norm", op.sup_norm, ref="norm:sup-component")
-    rep.add_interval("bloch-norm", op.bloch_norm, ref="norm:bloch-component")
-    rep.add_interval("sigma", op.sigma, ref="weight:full-growth")
-    rep.add_interval("sigma0", op.sigma0, ref="weight:vanishing-growth")
+def _run_bounds(rep, d, psi, z, opts):
+    cfg, ladder = opts["cfg"], opts["eps_ladder"]
+    op = operator_report(d, psi, rep.symbol, cfg)
+    _add_parts(rep, sup=op.sup_norm, bloch=op.bloch_norm, sigma=op.sigma,
+               sigma0=op.sigma0)
     rep.add("norm-lower", op.verdicts["norm_lower"], mode="sampled-lower",
             ref="norm:sandwich")
-    rep.add("norm-upper-B", op.verdicts["norm_upper_B"],
-            mode="analytic-bounds", ref="norm:sandwich")
-    rep.add("norm-upper-B0*", op.verdicts["norm_upper_B0*"],
-            mode="analytic-bounds", ref="norm:sandwich")
-    bd = op.verdicts["boundedness"]
-    rep.verdicts["boundedness-B"] = bd["verdict"]
-    rep.verdicts["boundedness-B-note"] = bd["note"]
-    b0 = boundedness_verdict(d, psi, cfg, opts["eps_ladder"], space="B0*")
-    rep.verdicts["boundedness-B0*"] = b0.verdict
-    rep.verdicts["boundedness-B0*-note"] = b0.note
-    return rep
+    for space in ("B", "B0*"):
+        rep.add(f"norm-upper-{space}", op.verdicts[f"norm_upper_{space}"],
+                mode="analytic-bounds", ref="norm:sandwich")
+    bd = (boundedness_verdict(d, psi, cfg, ladder).as_dict() if ladder
+          else op.verdicts["boundedness"])
+    b0 = boundedness_verdict(d, psi, cfg, ladder or DEFAULT_EPS_LADDER, space="B0*")
+    rep.verdicts.update({"boundedness-B": bd["verdict"], "boundedness-B-note": bd["note"],
+                         "boundedness-B0*": b0.verdict, "boundedness-B0*-note": b0.note})
 
 
-def _run_opnorm(opts) -> AnalysisReport:
-    d, psi, text = _domain_symbol(opts)
+def _run_opnorm(rep, d, psi, z, opts):
     cfg = opts["cfg"]
     nb = norm_bounds(d, psi, cfg)
     emp = empirical_opnorm_lower(d, psi, cfg, seed=cfg.seed)
-    rep = _base("opnorm", opts, d, text)
     rep.add("sandwich-lower", nb.lower, mode="sampled-lower", ref="norm:sandwich")
     rep.add("sandwich-upper", nb.upper, mode="analytic-bounds", ref="norm:sandwich")
     rep.add("battery-lower", emp, mode="sampled-lower", ref="norm:battery")
-    rep.add_interval("sup-norm", nb.sup, ref="norm:sup-component")
-    rep.add_interval("bloch-norm", nb.bloch, ref="norm:bloch-component")
-    rep.add_interval("sigma", nb.sigma, ref="weight:full-growth")
-    return rep
+    _add_parts(rep, sup=nb.sup, bloch=nb.bloch, sigma=nb.sigma)
 
 
-def _run_spectrum(opts) -> AnalysisReport:
-    d, psi, text = _domain_symbol(opts)
+def _run_spectrum(rep, d, psi, z, opts):
     cloud = spectrum_cloud(d, psi, opts["cfg"])
-    rep = _base("spectrum", opts, d, text)
-    rep.add("max-modulus", float(np.max(np.abs(cloud.points))),
-            mode="sampled-lower", ref="spectrum:range-closure")
-    rep.add("hull-area", cloud.hull_area, mode="sampled-lower",
-            ref="spectrum:range-closure")
-    for nm, v in zip(("bbox-re-min", "bbox-re-max", "bbox-im-min",
-                      "bbox-im-max"), cloud.bbox):
+    for nm, v in zip(("max-modulus", "hull-area", "bbox-re-min", "bbox-re-max",
+                      "bbox-im-min", "bbox-im-max"),
+                     (float(np.max(np.abs(cloud.points))), cloud.hull_area, *cloud.bbox)):
         rep.add(nm, v, mode="sampled-lower", ref="spectrum:range-closure")
     rep.add("points", float(cloud.points.size), mode="exact",
             ref="spectrum:range-closure")
     rep.verdicts["singleton"] = str(cloud.is_singleton).lower()
-    return rep
 
 
-def _run_compactness(opts) -> AnalysisReport:
-    d, psi, text = _domain_symbol(opts)
+def _run_compactness(rep, d, psi, z, opts):
     cr = compactness_verdict(d, psi, opts["cfg"])
-    rep = _base("compactness", opts, d, text)
     rep.verdicts["compactness"] = cr.verdict
     for key, val in cr.witness.items():
         rep.verdicts[f"witness-{key}"] = (
             val if isinstance(val, str) else repr(val))
-    return rep
 
 
-def _run_isometry(opts) -> AnalysisReport:
-    d, psi, text = _domain_symbol(opts)
+def _run_isometry(rep, d, psi, z, opts):
     ir = isometry_verdict(d, psi, opts["cfg"], k_max=opts["k"])
-    rep = _base("isometry", opts, d, text)
     rep.verdicts["isometry"] = ir.verdict
     rep.verdicts["reason"] = ir.reason
     if ir.ceiling is not None:
@@ -369,26 +322,16 @@ def _run_isometry(opts) -> AnalysisReport:
     for k, b in sorted(ir.power_betas.items()):
         rep.add(f"power-seminorm-{k}", b, mode="sampled-lower",
                 ref="isometry:seminorm-ceiling")
-    return rep
 
 
-def _run_constants(opts) -> AnalysisReport:
+def _run_constants(rep, d, psi, z, opts):
+    rep.seed = rep.samples = None
     if opts["domain"]:
         d = parse_domain(opts["domain"])
-        rep = _base("constants", opts, d)
-        rep.seed = rep.samples = None
-        rep.add("bloch-constant", bloch_constant(d), mode="exact",
-                ref="constants:closed-forms")
-        cit, swp = bloch_constant_candidates(d)
-        rep.add("bloch-constant-swapped", swp, mode="exact",
-                ref="constants:exceptional-ambiguity")
-        rep.verdicts["standard-form"] = standard_form(d)
-        rep.verdicts["in-class-D"] = str(in_class_D(d)).lower()
-        if cit != swp:
-            rep.verdicts["constant-binding"] = "ambiguous"
-        return rep
-    rep = _base("constants", opts)
-    rep.seed = rep.samples = None
+        rep.domain = str(d)
+        binding, classes = _constant_rows(rep, d)
+        rep.verdicts.update({**classes, **binding})
+        return
     for row in registry_table():
         rep.add(row["domain"], row["constant"], mode="exact",
                 ref="constants:closed-forms")
@@ -396,33 +339,44 @@ def _run_constants(opts) -> AnalysisReport:
             rep.add(row["domain"] + " (swapped)", row["constant_swapped"],
                     mode="exact", ref="constants:exceptional-ambiguity")
         rep.verdicts[row["domain"]] = row["class"]
-    return rep
 
 
-def _run_verify(opts) -> AnalysisReport:
-    _, rep = run_suite(opts["suite"], seed=opts["cfg"].seed)
-    return rep
+def _run_verify(rep, d, psi, z, opts) -> AnalysisReport:
+    return run_suite(opts["suite"], seed=opts["cfg"].seed)[1]
 
 
-def _run_probe(opts) -> AnalysisReport:
+def _run_probe(rep, d, psi, z, opts) -> AnalysisReport:
     question = opts.get("question")
     if not question:
         raise UsageError(f"probe needs a question: {', '.join(PROBES)}")
-    (spec,) = _need(opts, "domain")
-    d = parse_domain(spec)
-    psi = text = None
-    if opts["symbol"]:
-        text = opts["symbol"]
-        psi = parse_symbol(text, d.ambient_dim)
-    return run_probe(question, d, opts["cfg"], psi, text, opts["eps_ladder"])
+    _, d, _, _ = _head("probe", ("domain",), opts)
+    text = opts["symbol"] or None
+    psi = parse_symbol(text, d.ambient_dim) if text else None
+    return run_probe(question, d, opts["cfg"], psi, text,
+                     opts["eps_ladder"] or DEFAULT_EPS_LADDER)
 
 
-_ACTIONS = {
-    "domain": _run_domain, "qf": _run_qf, "beta": _run_beta,
-    "omega": _run_omega, "rho": _run_rho, "sigma": _run_sigma,
-    "bounds": _run_bounds, "opnorm": _run_opnorm, "spectrum": _run_spectrum,
-    "compactness": _run_compactness, "isometry": _run_isometry,
-    "constants": _run_constants, "verify": _run_verify, "probe": _run_probe,
+# name -> (help, inputs, run(rep, d, psi, z, opts)), as the module docstring says
+_COMMANDS = {
+    "domain": ("describe a domain: dimension, class, constants", ("domain",), _run_domain),
+    "qf": ("invariant gradient length of a symbol at a point",
+           ("domain", "symbol", "point"), _run_qf),
+    "beta": ("sampled Bloch seminorm of a symbol", ("domain", "symbol"), _run_beta),
+    "omega": ("extremal growth bounds at a point", ("domain", "point"), _run_omega),
+    "rho": ("metric distance from the origin to a point", ("domain", "point"), _run_rho),
+    "sigma": ("boundary multiplier weights of a symbol", ("domain", "symbol"), _run_sigma),
+    "bounds": ("full boundedness report with the norm sandwich", ("domain", "symbol"),
+               _run_bounds),
+    "opnorm": ("operator-norm sandwich plus battery lower bound", ("domain", "symbol"),
+               _run_opnorm),
+    "spectrum": ("sampled spectrum cloud summary", ("domain", "symbol"), _run_spectrum),
+    "compactness": ("compactness verdict with witness", ("domain", "symbol"),
+                    _run_compactness),
+    "isometry": ("isometry verdict with power diagnostics", ("domain", "symbol"),
+                 _run_isometry),
+    "constants": ("Bloch constant registry or one domain's constants", (), _run_constants),
+    "verify": ("run a theorem suite (exit 3 on failure)", (), _run_verify),
+    "probe": ("data table for one open question", (), _run_probe),
 }
 
 
@@ -433,8 +387,10 @@ def main(argv=None) -> int:
         if not args.command:
             raise UsageError(parser.format_usage().rstrip())
         opts, fmt = _resolve(args)
+        _, inputs, run = _COMMANDS[args.command]
         t0 = time.perf_counter()
-        report = _ACTIONS[args.command](opts)
+        rep, d, psi, z = _head(args.command, inputs, opts)
+        report = run(rep, d, psi, z, opts) or rep
         report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
         text = render(report, fmt)
         if opts["out"]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import inf, isinf, isnan
 
 import numpy as np
@@ -79,11 +79,7 @@ class SamplingConfig:
             raise UsageError("shells must be a nonempty list in [0, 1)")
 
     def with_(self, **kw) -> "SamplingConfig":
-        base = dict(samples=self.samples, seed=self.seed, shells=self.shells,
-                    refine_iters=self.refine_iters,
-                    refine_restarts=self.refine_restarts)
-        base.update(kw)
-        return SamplingConfig(**base)
+        return replace(self, **kw)
 
 
 @dataclass(frozen=True)

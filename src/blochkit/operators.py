@@ -514,12 +514,12 @@ class OperatorReport:
 def operator_report(d: DomainDescriptor, psi: SymbolExpr, symbol_text: str,
                     cfg: SamplingConfig = SamplingConfig()) -> OperatorReport:
     parts = _sandwich_parts(d, psi, cfg, ("sup", "bloch", "sigma", "sigma0"))
-    nb, sig0 = _sandwich(parts, "B"), parts["sigma0"]
+    nb = _sandwich(parts, "B")
     verdicts = {
         "norm_lower": nb.lower,
         "norm_upper_B": nb.upper,
-        "norm_upper_B0*": max(nb.bloch.upper, nb.sup.upper + sig0.upper, nb.lower),
+        "norm_upper_B0*": _sandwich(parts, "B0*").upper,
         "boundedness": boundedness_verdict(d, psi, cfg).as_dict(),
     }
-    return OperatorReport(str(d), symbol_text, nb.sup, nb.bloch, nb.sigma, sig0,
-                          verdicts)
+    return OperatorReport(str(d), symbol_text, nb.sup, nb.bloch, nb.sigma,
+                          parts["sigma0"], verdicts)

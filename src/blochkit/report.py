@@ -140,11 +140,11 @@ def render_pretty(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the format names: the CLI's --format choices read these keys
+_RENDERERS = {"json": render_json, "csv": render_csv, "pretty": render_pretty}
+
+
 def render(report: AnalysisReport, fmt: str = "json") -> str:
-    if fmt == "json":
-        return render_json(report)
-    if fmt == "csv":
-        return render_csv(report)
-    if fmt == "pretty":
-        return render_pretty(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _RENDERERS[fmt](report)

@@ -202,7 +202,12 @@ def is_constant(f: SymbolExpr) -> complex | None:
 
 
 def combine(op: str, *args) -> SymbolExpr:
-    """sum/product of expressions, or power(expr, uint); folds polynomials."""
+    """sum/product of expressions, or power(expr, uint); folds polynomials.
+
+    A polynomial power is checked against the degree cap and then
+    `power_within_caps` before anything is expanded, so a power past
+    either cap raises at once. The check reads exponents only: a power
+    whose coefficients cancel exactly is refused by its exponent count."""
     if op == "power":
         base, k = args
         if not isinstance(k, int) or isinstance(k, bool):
@@ -214,6 +219,10 @@ def combine(op: str, *args) -> SymbolExpr:
         if k == 1:
             return base
         if isinstance(base, Polynomial):
+            if base.degree * k > DEGREE_CAP:
+                raise UsageError(f"polynomial degree exceeds cap {DEGREE_CAP}")
+            if not power_within_caps(base, k):
+                raise UsageError(f"polynomial expansion exceeds {TERM_CAP} terms")
             out = base
             for _ in range(k - 1):
                 out = _poly_mul(out, base)

@@ -31,7 +31,7 @@ from blochkit import (
     sigma_estimate,
     sigma_upper_poly,
 )
-from blochkit import bloch
+from blochkit import bloch, metric
 from blochkit.bloch import _INVPHI, AGAINST, CONSISTENT, _refine_max
 from blochkit.metric import geometry
 from blochkit.estimates import SamplingConfig
@@ -320,7 +320,9 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
           mkpoly(3, {(0, 0, 1): 1.0, (2, 1, 0): 0.3 + 0.3j})]
     n, iters = d.ambient_dim, 15
     counts = {"contains": 0, "gauge": 0, "rows": 0, "members": set()}
-    real_contains, real_outside = bloch.contains, bloch._outside
+    # bloch checks single points through metric._require_interior, which
+    # reads metric's binding of contains
+    real_contains, real_outside = metric.contains, bloch._outside
     real_refine = bloch._refine_max
 
     def counted_contains(*args):
@@ -338,7 +340,7 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
             return rows(P, which)
         return real_refine(d, counted, starts, iters)
 
-    monkeypatch.setattr(bloch, "contains", counted_contains)
+    monkeypatch.setattr(metric, "contains", counted_contains)
     monkeypatch.setattr(bloch, "_outside", counted_outside)
     monkeypatch.setattr(bloch, "_refine_max", counted_refine)
     for restarts in (1, 3, 8):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from blochkit import SUITES, AnalysisReport
+from blochkit import DEFAULT_EPS_LADDER, SUITES, AnalysisReport
 from blochkit.cli import main
 from blochkit.verify import CheckResult
 
@@ -201,6 +201,131 @@ def test_probe_runs(capsys):
     m = json.loads(out)
     assert m["verdicts"]["probe"] == "exploratory"
     assert len(m["results"]) > 0
+
+
+def test_bounds_eps_ladder_reaches_both_verdicts(capsys, monkeypatch):
+    import dataclasses
+
+    from blochkit import cli, operators
+
+    real = operators.boundedness_verdict
+    seen = []
+
+    def spy(*args, **kw):
+        # tag each verdict with the ladder its space received
+        out = real(*args, **kw)
+        seen.append((kw.get("space", "B"), out.eps))
+        return dataclasses.replace(out, verdict=f"{seen[-1]}")
+
+    monkeypatch.setattr(operators, "boundedness_verdict", spy)
+    monkeypatch.setattr(cli, "boundedness_verdict", spy)
+    argv = ["bounds", "--domain", "disk", "--symbol", "z1", "--samples", "300"]
+    defaults = [("B", operators.DEFAULT_BOUNDARY_EPS), ("B0*", DEFAULT_EPS_LADDER)]
+    for extra, want in (([], defaults),
+                        (["--eps-ladder", "0.2,0.05"], [("B", (0.2, 0.05)), ("B0*", (0.2, 0.05))])):
+        seen.clear()
+        rc, out = run_cli(capsys, argv + extra)
+        assert rc == 0
+        verdicts = json.loads(out)["verdicts"]
+        assert [verdicts["boundedness-B"], verdicts["boundedness-B0*"]] == [str(w) for w in want]
+        assert want[0] in seen and want[1] == seen[-1]
+
+
+@pytest.mark.parametrize("extra,rungs", [([], ("0.1", "0.01", "0.001")),
+                                         (["--eps-ladder", "0.3,0.03"], ("0.3", "0.03"))])
+def test_probe_omega0_blowup_reads_the_eps_ladder(capsys, extra, rungs):
+    rc, out = run_cli(capsys, ["probe", "omega0-blowup", "--domain", "disk",
+                               "--samples", "300"] + extra)
+    assert rc == 0
+    names = [r["name"] for r in json.loads(out)["results"]]
+    assert names == [f"eps={e} dir{j}" for e in rungs for j in range(5)]
+
+
+_E, _L, _A = "exact", "sampled-lower", "analytic-bounds"
+_PARTS = {"sup": ("sup-norm", _L, "norm:sup-component"),
+          "bloch": ("bloch-norm", _L, "norm:bloch-component"),
+          "sigma": ("sigma", _L, "weight:full-growth"),
+          "sigma0": ("sigma0", _L, "weight:vanishing-growth")}
+_CONSTANTS = [("bloch-constant", _E, "constants:closed-forms"),
+              ("bloch-constant-swapped", _E, "constants:exceptional-ambiguity")]
+_REGISTRY = ("disk", "ball:2", "ball:3", "ball:5", "polydisk:2", "polydisk:4", "cartan1:2,2",
+             "cartan1:3,2", "cartan2:2", "cartan2:3", "cartan3:3", "cartan3:4", "cartan4:3",
+             "cartan4:5", "exc1", "exc2", "product(ball:2,polydisk:2)",
+             "product(cartan2:2,ball:3)")
+_SANDWICH = [("sandwich-lower", _L, "norm:sandwich"), ("sandwich-upper", _A, "norm:sandwich")]
+# every subcommand on a small input: (name, mode, ref) of each row in
+# order, then the verdict keys in order
+ROW_TABLE = [
+    (["domain", "--domain", "exc1"],
+     [("ambient-dim", _E, "setup:descriptor")] + _CONSTANTS,
+     ["constant-binding", "standard-form", "in-class-D", "has-disk-factor", "metric-supported"]),
+    (["qf", "--domain", "disk", "--symbol", "z1", "--point", "0.5"],
+     [("q-value", _E, "q:closed-form")], []),
+    (["beta", "--domain", "disk", "--symbol", "z1"],
+     [("beta", _L, "seminorm:sampled"), ("bloch-norm", _L, "seminorm:plus-origin-value")], []),
+    (["omega", "--domain", "ball:2", "--point", "0.3,0.4"],
+     [("omega", _E, "growth:bounds"), ("omega0-lower", _L, "growth:vanishing-class-witness")], []),
+    (["rho", "--domain", "polydisk:2", "--point", "0.5,0.5"],
+     [("rho", _E, "distance:from-origin")], []),
+    (["sigma", "--domain", "ball:2", "--symbol", "z1"],
+     [_PARTS["sigma"], _PARTS["sigma0"]], []),
+    (["bounds", "--domain", "disk", "--symbol", "z1"],
+     [_PARTS[k] for k in ("sup", "bloch", "sigma", "sigma0")]
+     + [("norm-lower", _L, "norm:sandwich"), ("norm-upper-B", _A, "norm:sandwich"),
+        ("norm-upper-B0*", _A, "norm:sandwich")],
+     ["boundedness-B", "boundedness-B-note", "boundedness-B0*", "boundedness-B0*-note"]),
+    (["opnorm", "--domain", "disk", "--symbol", "z1"],
+     _SANDWICH + [("battery-lower", _L, "norm:battery")]
+     + [_PARTS[k] for k in ("sup", "bloch", "sigma")], []),
+    (["spectrum", "--domain", "disk", "--symbol", "z1^2"],
+     [(n, _L, "spectrum:range-closure") for n in
+      ("max-modulus", "hull-area", "bbox-re-min", "bbox-re-max", "bbox-im-min", "bbox-im-max")]
+     + [("points", _E, "spectrum:range-closure")], ["singleton"]),
+    (["compactness", "--domain", "disk", "--symbol", "z1"], [],
+     ["compactness", "witness-reason", "witness-point_a", "witness-value_a",
+      "witness-point_b", "witness-value_b"]),
+    (["isometry", "--domain", "ball:2", "--symbol", "0.5+0.4*z1", "--k", "2"],
+     [("ceiling", _E, "constants:closed-forms")]
+     + [(n, _E, "isometry:power-route") for n in
+        ("modulus-at-zero", "modulus-power-1", "modulus-power-2")]
+     + [(f"power-seminorm-{k}", _L, "isometry:seminorm-ceiling") for k in (1, 2)],
+     ["isometry", "reason"]),
+    (["constants", "--domain", "exc1"], _CONSTANTS,
+     ["standard-form", "in-class-D", "constant-binding"]),
+    (["constants"],
+     [row for name in _REGISTRY for row in
+      [(name, _E, "constants:closed-forms")]
+      + ([(f"{name} (swapped)", _E, "constants:exceptional-ambiguity")]
+         if name.startswith("exc") else [])],
+     list(_REGISTRY)),
+    (["verify", "--suite", "constants"],
+     [(f"constants-{n}", "check", f"constants:{n}") for n in
+      ("closed-forms", "product-max", "class-membership", "dimension-ranges")],
+     [f"constants-{n}" for n in
+      ("closed-forms", "product-max", "class-membership", "dimension-ranges")]
+     + ["suite", "overall"]),
+    (["probe", "norm-sharpness", "--domain", "disk"],
+     [(n, "probe-row", "open:norm-gap") for n in
+      ("empirical-lower", "sandwich-lower", "sandwich-upper", "gap-upper-minus-empirical",
+       "component-sup", "component-bloch", "component-sigma")], ["probe"]),
+]
+
+
+def test_row_table_covers_every_subcommand():
+    from blochkit.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv, _, _ in ROW_TABLE} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv,rows,verdicts", ROW_TABLE,
+                         ids=[" ".join(argv) for argv, _, _ in ROW_TABLE])
+def test_every_subcommand_pins_its_rows_and_verdict_keys(capsys, argv, rows, verdicts):
+    rc, out = run_cli(capsys, argv + ["--samples", "300"])
+    assert rc == 0
+    m = json.loads(out)
+    assert [(r["name"], r["mode"], r["ref"]) for r in m["results"]] == rows
+    assert list(m["verdicts"]) == verdicts
 
 
 # ---------------------------------------------------------------- formats and output

@@ -253,17 +253,18 @@ def test_sandwich_components_match_their_own_estimates(spec, psi, fast_cfg):
              "bloch": bloch_norm_estimate(d, psi, fast_cfg, certified_upper=ceiling),
              "sigma": sigma_estimate(d, psi, fast_cfg),
              "sigma0": sigma_estimate(d, psi, fast_cfg, which="sigma0")}
+    sandwiches = {}
     for space, sigma in (("B", "sigma"), ("B0*", "sigma0")):
-        nb = norm_bounds(d, psi, fast_cfg, space=space)
+        nb = sandwiches[space] = norm_bounds(d, psi, fast_cfg, space=space)
         for got, name in ((nb.sup, "sup"), (nb.bloch, "bloch"), (nb.sigma, sigma)):
             assert repr(got) == repr(alone[name])
     rep = operator_report(d, psi, "psi", fast_cfg)
     for got, name in ((rep.sup_norm, "sup"), (rep.bloch_norm, "bloch"),
                       (rep.sigma, "sigma"), (rep.sigma0, "sigma0")):
         assert repr(got) == repr(alone[name])
-    nb = norm_bounds(d, psi, fast_cfg)
-    assert rep.verdicts["norm_lower"] == nb.lower
-    assert rep.verdicts["norm_upper_B"] == nb.upper
+    assert rep.verdicts["norm_lower"] == sandwiches["B"].lower
+    assert rep.verdicts["norm_upper_B"] == sandwiches["B"].upper
+    assert rep.verdicts["norm_upper_B0*"] == sandwiches["B0*"].upper
 
 
 def test_disk_factor_branch_reads_its_own_estimates(tiny_cfg, monkeypatch):
