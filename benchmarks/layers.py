@@ -19,6 +19,8 @@ round:
   symbol on each of ball:3, polydisk:3 and product(ball:2,disk), with
   50 000 samples and no refinement, as the scan workload of perfbench
   asks single components;
+- spectrum and boundedness: `spectrum_cloud`, and `boundedness_verdict`,
+  of the same symbol on the same three domains with the same sampling;
 - scan_round: `beta_estimate`, `sigma_estimate`, `spectrum_cloud` and
   `boundedness_verdict` of two 10-term symbols on each of the same three
   domains, with 50 000 samples and no refinement, as one round of the
@@ -153,6 +155,10 @@ def layers(bk, verify, cli) -> dict:
     out["scan_singles_s"] = (ROUNDS, lambda: [
         (bk.beta_estimate(d, psis[0], scan_cfg), bk.sigma_estimate(d, psis[0], scan_cfg))
         for d, psis in scans])
+    out["spectrum_s"] = (ROUNDS, lambda: [
+        bk.spectrum_cloud(d, psis[0], scan_cfg) for d, psis in scans])
+    out["boundedness_s"] = (ROUNDS, lambda: [
+        bk.boundedness_verdict(d, psis[0], scan_cfg) for d, psis in scans])
     out["scan_round_s"] = (ROUNDS, lambda: [
         (bk.beta_estimate(d, psi, scan_cfg), bk.sigma_estimate(d, psi, scan_cfg),
          bk.spectrum_cloud(d, psi, scan_cfg), bk.boundedness_verdict(d, psi, scan_cfg))

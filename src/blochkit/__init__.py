@@ -33,14 +33,25 @@ from .operators import (boundedness_verdict, compactness_verdict,
                         isometry_verdict, norm_bounds, operator_report,
                         sigma_estimate, sigma_upper_poly, spectrum_cloud,
                         supnorm_estimate)
-from .probes import run_probe
-from .report import VERSION, AnalysisReport, ResultRow, render
 from .symbols import (SymbolExpr, combine, constant, coordinate, evaluate,
                       evaluate_many, gradient, gradient_many, parse_symbol,
                       supnorm_upper)
-from .verify import SUITES, CheckResult, run_suite
 
-__version__ = VERSION
+# names of the verify, probes and report modules, imported on first use
+# so that `import blochkit` does not load them
+_LAZY = {"SUITES": "verify", "CheckResult": "verify", "run_suite": "verify",
+         "run_probe": "probes", "VERSION": "report", "__version__": "report",
+         "AnalysisReport": "report", "ResultRow": "report", "render": "report"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = getattr(module, "VERSION" if name == "__version__" else name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AmbiguousConstantError", "AnalysisReport", "BlochkitError",

@@ -19,7 +19,12 @@ whatever the batch:
   complex128 rows (256 KiB) on, numpy multiplies a loop's temporaries in
   place, which can round the last bit differently. Each chunk raises
   every distinct factor z_j^p of the asked sums once, and every term
-  multiplies its factors from those arrays.
+  multiplies its factors from those arrays. The factor z^1 is the column
+  z itself. The table's z ** 1 differs from z only where a component is
+  a zero of the other sign, and a sum that starts from +0 never shows the
+  sign of a zero: the factors change no nonzero bit of a product, and +0
+  plus a zero of either sign is +0. Each sum adds its terms onto +0 in
+  one contiguous buffer of the chunk's rows and stores it once.
 
 `poly_grad_family` gives row i the gradient of member which[i] of a tuple
 of polynomials from their gradient sums, stacked and padded to one
@@ -132,20 +137,25 @@ def _table(powers: np.ndarray, blocks, Z: np.ndarray,
 
 def _loop(blocks, Z: np.ndarray) -> list[np.ndarray]:
     """The same sums by a loop over the terms, LOOP_CHUNK rows at a time,
-    raising each distinct factor once per chunk."""
-    out = [np.zeros((Z.shape[0], len(sums.counts)), dtype=np.complex128) for sums in blocks]
+    raising each distinct factor once per chunk and adding each sum's
+    terms in a contiguous buffer."""
+    out = [np.empty((Z.shape[0], len(sums.counts)), dtype=np.complex128) for sums in blocks]
     pairs = sorted({f for sums in blocks for f in sums.pairs})
     for start in range(0, Z.shape[0], LOOP_CHUNK):
         Zc = Z[start:start + LOOP_CHUNK]
-        # z ** 1 is raised too, as in the power table: z itself can differ in a zero's sign
-        factor = {(j, p): Zc[:, j] ** np.int64(p) for j, p in pairs}
+        # z ** 1 is z itself, up to the sign of a zero, which no sum shows
+        factor = {(j, p): Zc[:, j] if p == 1 else Zc[:, j] ** np.int64(p)
+                  for j, p in pairs}
+        acc = np.empty(Zc.shape[0], dtype=np.complex128)
         for sums, block in zip(blocks, out):
             for s, terms in enumerate(sums.terms):
+                acc[...] = 0.0
                 for c, fs in terms:
                     term = np.full(Zc.shape[0], c)
                     for f in fs:
                         term = term * factor[f]
-                    block[start:start + LOOP_CHUNK, s] += term
+                    acc += term
+                block[start:start + LOOP_CHUNK, s] = acc
     return out
 
 

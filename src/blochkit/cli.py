@@ -34,9 +34,9 @@ from .errors import (DimensionMismatch, NumericalDomainError, ParseError,
                      SuiteFailure, UsageError)
 from .estimates import DEFAULT_EPS_LADDER, SamplingConfig
 from .metric import rho_from_origin
-from .operators import (_sandwich_parts, boundedness_verdict,
-                        compactness_verdict, empirical_opnorm_lower,
-                        isometry_verdict, norm_bounds, operator_report,
+from .operators import (DEFAULT_BOUNDARY_EPS, _sandwich, _sandwich_parts,
+                        boundedness_verdict, compactness_verdict,
+                        empirical_opnorm_lower, isometry_verdict, norm_bounds,
                         spectrum_cloud)
 from .probes import PROBES, run_probe
 from .report import _RENDERERS, AnalysisReport, render, timings_enabled
@@ -261,18 +261,16 @@ def _run_sigma(rep, d, psi, z, opts):
 
 def _run_bounds(rep, d, psi, z, opts):
     cfg, ladder = opts["cfg"], opts["eps_ladder"]
-    op = operator_report(d, psi, rep.symbol, cfg)
-    _add_parts(rep, sup=op.sup_norm, bloch=op.bloch_norm, sigma=op.sigma,
-               sigma0=op.sigma0)
-    rep.add("norm-lower", op.verdicts["norm_lower"], mode="sampled-lower",
+    parts = _sandwich_parts(d, psi, cfg, ("sup", "bloch", "sigma", "sigma0"))
+    _add_parts(rep, **parts)
+    rep.add("norm-lower", _sandwich(parts, "B").lower, mode="sampled-lower",
             ref="norm:sandwich")
     for space in ("B", "B0*"):
-        rep.add(f"norm-upper-{space}", op.verdicts[f"norm_upper_{space}"],
+        rep.add(f"norm-upper-{space}", _sandwich(parts, space).upper,
                 mode="analytic-bounds", ref="norm:sandwich")
-    bd = (boundedness_verdict(d, psi, cfg, ladder).as_dict() if ladder
-          else op.verdicts["boundedness"])
+    bd = boundedness_verdict(d, psi, cfg, ladder or DEFAULT_BOUNDARY_EPS)
     b0 = boundedness_verdict(d, psi, cfg, ladder or DEFAULT_EPS_LADDER, space="B0*")
-    rep.verdicts.update({"boundedness-B": bd["verdict"], "boundedness-B-note": bd["note"],
+    rep.verdicts.update({"boundedness-B": bd.verdict, "boundedness-B-note": bd.note,
                          "boundedness-B0*": b0.verdict, "boundedness-B0*-note": b0.note})
 
 

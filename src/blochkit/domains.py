@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import TABLE_MAX_POINTS
 from .errors import DimensionMismatch, UsageError, UnsupportedDomainError
 
 # strict positivity margin for smallest-eigenvalue membership tests
@@ -221,18 +222,35 @@ def _as_point(d: DomainDescriptor, z) -> np.ndarray:
 # gauges, membership tests and samplers of the table rows
 
 
+def _reduce(op: np.ufunc, X: np.ndarray) -> np.ndarray:
+    """op.reduce(X, axis=-1) for op np.add or np.hypot, to the bit. Above
+    TABLE_MAX_POINTS rows it applies op column by column from +0.0, which
+    is the order numpy's reduce takes for hypot at any width and for sums
+    of real rows up to 7 wide and complex rows up to 3 wide (fewer than 8
+    doubles); wider sums regroup pairwise and keep the reduce. On a short
+    axis the column loop is several times faster over many rows, and the
+    reduce is faster for the few rows of a line-search step."""
+    width = X.shape[-1]
+    if X.size <= TABLE_MAX_POINTS * width or (op is np.add and width * X.itemsize >= 64):
+        return op.reduce(X, axis=-1)
+    out = op(0.0, X[..., 0])
+    for k in range(1, width):
+        op(out, X[..., k], out=out)
+    return out
+
+
 def _size(X: np.ndarray) -> np.ndarray:
-    """Euclidean size over the last axis, summed as the batched
-    np.linalg.norm(Z, axis=-1) sums it, so that distances from the origin
-    are arctanh of that norm to the bit. The 1-D np.linalg.norm(z) sums
-    the real and imaginary parts apart and can differ in the last bit.
-    Rows below 2^-450, whose squares would underflow, are summed scaled
-    by 2^600, which is exact."""
-    r = np.sqrt((X.conj() * X).real.sum(axis=-1))
+    """Euclidean size over the last axis, summed (by `_reduce`) as the
+    batched np.linalg.norm(Z, axis=-1) sums it, so that distances from
+    the origin are arctanh of that norm to the bit. The 1-D
+    np.linalg.norm(z) sums the real and imaginary parts apart and can
+    differ in the last bit. Rows below 2^-450, whose squares would
+    underflow, are summed scaled by 2^600, which is exact."""
+    r = np.sqrt(_reduce(np.add, (X.conj() * X).real))
     if r.min(initial=1.0) < 2.0 ** -450:
         tiny = r < 2.0 ** -450
         Y = X[tiny] * 2.0 ** 600
-        r[tiny] = np.sqrt((Y.conj() * Y).real.sum(axis=-1)) * 2.0 ** -600
+        r[tiny] = np.sqrt(_reduce(np.add, (Y.conj() * Y).real)) * 2.0 ** -600
     return r
 
 
@@ -267,8 +285,9 @@ def _cartan4_member(dims, z) -> bool:
 
 def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     g = rng.standard_normal((count, 2 * n))
-    u = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    u = np.empty((count, n), dtype=np.complex128)
+    u.real, u.imag = g[:, :n], g[:, n:]
+    norms = _size(u)[:, None]
     norms[norms == 0] = 1.0
     return u / norms
 

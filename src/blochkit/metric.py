@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import (_EDGE, _ROWS, DomainDescriptor, Kind, contains, _as_point,
-                      _row, _size)
+                      _reduce, _row, _size)
 from .errors import (OutsideDomainError, UnsupportedMetricError, UsageError)
 from .estimates import EstimateInterval, exact
 
@@ -118,9 +118,9 @@ class Geometry:
 
 
 # Per-kind formulas. `form` broadcasts over leading axes of points and
-# directions. They reduce with the ndarray.sum method: np.sum gives the
-# same arithmetic but its dispatch is a large share of one single-point
-# call in line searches.
+# directions. They reduce over the coordinate axis with `domains._reduce`:
+# np.add.reduce or np.hypot.reduce for the few rows of a line-search step,
+# and the same arithmetic column by column for sample batches.
 
 def _coord_weights(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 - np.abs(z) ** 2) ** 2
@@ -131,12 +131,12 @@ def _coord_matrix(z: np.ndarray) -> np.ndarray:
 
 
 def _coord_form(Z: np.ndarray, U: np.ndarray):
-    return (np.abs(U) ** 2 * _coord_weights(Z)).sum(axis=-1)
+    return _reduce(np.add, np.abs(U) ** 2 * _coord_weights(Z))
 
 
 def _coord_q(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
     w = (1.0 - np.abs(Z) ** 2) ** 2
-    return np.sqrt((w * np.abs(G) ** 2).sum(axis=1))
+    return np.sqrt(_reduce(np.add, w * np.abs(G) ** 2))
 
 
 def _ball_matrix(z: np.ndarray) -> np.ndarray:
@@ -146,16 +146,16 @@ def _ball_matrix(z: np.ndarray) -> np.ndarray:
 
 
 def _ball_form(Z: np.ndarray, U: np.ndarray):
-    r2 = (np.abs(Z) ** 2).sum(axis=-1)
-    pair = (U * np.conj(Z)).sum(axis=-1)  # sum_j u_j conj(z_j), |.| = |<u,z>|
-    return ((1.0 - r2) * (np.abs(U) ** 2).sum(axis=-1) + np.abs(pair) ** 2) \
+    r2 = _reduce(np.add, np.abs(Z) ** 2)
+    pair = _reduce(np.add, U * np.conj(Z))  # sum_j u_j conj(z_j), |.| = |<u,z>|
+    return ((1.0 - r2) * _reduce(np.add, np.abs(U) ** 2) + np.abs(pair) ** 2) \
         / (1.0 - r2) ** 2
 
 
 def _ball_q(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-    r2 = (np.abs(Z) ** 2).sum(axis=1)
-    dot = (G * Z).sum(axis=1)
-    val = (1.0 - r2) * ((np.abs(G) ** 2).sum(axis=1) - np.abs(dot) ** 2)
+    r2 = _reduce(np.add, np.abs(Z) ** 2)
+    dot = _reduce(np.add, G * Z)
+    val = (1.0 - r2) * (_reduce(np.add, np.abs(G) ** 2) - np.abs(dot) ** 2)
     return np.sqrt(np.maximum(val, 0.0))
 
 
@@ -178,7 +178,7 @@ def _ball_distance(Z: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
     delta = Z - W
     rw, rz = _size(W), _size(Z)
     cw, cz = (1.0 - rw) * (1.0 + rw), (1.0 - rz) * (1.0 + rz)
-    pair = (delta * W.conj()).sum(axis=-1)
+    pair = _reduce(np.add, delta * W.conj())
     den = np.abs(cw - pair)
     t = np.hypot(np.sqrt(cw) * _size(delta), np.abs(pair)) / den
     far = t > 0.5
@@ -193,15 +193,15 @@ def _coord_distance(Z: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
         L = np.arctanh(np.abs(Z))
     else:
         L = _ball_distance(Z[..., None], W[..., None])
-    return np.hypot.reduce(L, axis=-1)
+    return _reduce(np.hypot, L)
 
 
 def _ball_roots(Z: np.ndarray, E: np.ndarray):
     """The t with |z + t e| = _AIM over the last axis (the disk is one
     column): a t^2 + 2 b t + c = 0 with c < 0 inside, solved without
     cancellation. A factor with e = 0 puts no limit on t."""
-    a = (E.conj() * E).real.sum(axis=-1)
-    b = (Z.conj() * E).real.sum(axis=-1)
+    a = _reduce(np.add, (E.conj() * E).real)
+    b = _reduce(np.add, (Z.conj() * E).real)
     r = _size(Z)
     c = (r - _AIM) * (r + _AIM)
     s = -(b + np.copysign(np.sqrt(b * b - a * c), b))
@@ -248,9 +248,11 @@ def _product_geometry(d: DomainDescriptor) -> Geometry:
         return np.sqrt(sum(g.q(Z[:, s:t], G[:, s:t]) ** 2 for s, t, g in parts))
 
     def distance(Z, W=None):
-        return np.hypot.reduce(np.stack(
-            [g.distance(Z[..., s:t], None if W is None else W[..., s:t])
-             for s, t, g in parts], axis=-1), axis=-1)
+        # hypot.reduce's order: from +0.0 through the factors in turn
+        out = 0.0
+        for s, t, g in parts:
+            out = np.hypot(out, g.distance(Z[..., s:t], None if W is None else W[..., s:t]))
+        return out
 
     def roots(Z, E):
         lo, hi = zip(*(g.roots(Z[..., s:t], E[..., s:t]) for s, t, g in parts))

@@ -125,6 +125,8 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
         raise UsageError("space must be 'B' or 'B0*'")
     _require_metric(d)
     eps = tuple(eps_ladder)
+    if not eps:
+        raise UsageError("the boundary eps ladder needs at least one rung")
     if is_constant(psi) is not None:
         return BoundednessReport(BOUNDED, eps, (0.0,) * len(eps),
                                  abs(is_constant(psi)),
@@ -290,6 +292,35 @@ class SpectrumCloud:
                 "is_singleton": self.is_singleton}
 
 
+def _hull_candidates(xy: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the points of xy (rows x, y) that are not
+    strictly inside the octagon of its 8 extreme points, the least and
+    greatest x, y, x + y and x - y (Akl and Toussaint, A fast convex hull
+    algorithm, IPL 7, 1978). The points inside cannot be hull vertices,
+    and qhull gives the same area bits and the same vertices in the same
+    order without them: its tolerances and its initial simplex come from
+    the extremes, which stay. Among exact duplicates it may name another
+    twin. A point is dropped only when it is inside every edge by a
+    margin far above the rounding of the products, and nothing is
+    dropped when the octagon is degenerate."""
+    x, y = xy[:, 0], xy[:, 1]
+    # the extreme points in the directions 0, 45, ..., 315 degrees: counterclockwise
+    corners = xy[[np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y),
+                  np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y)]]
+    width = float(np.ptp(corners, axis=0).max())
+    margin = 1e-9 * width * (width + float(np.abs(corners).max()))
+    u, v = (corners[1:-1] - corners[0]).T, (corners[2:] - corners[0]).T
+    if not (u[0] * v[1] - u[1] * v[0]).sum() / 2.0 > margin:
+        return np.arange(len(xy))
+    edges = np.roll(corners, -1, axis=0) - corners
+    live = (edges != 0).any(axis=1)
+    # inward normals: p is inside edge k when normal_k . (p - corner_k) > margin
+    normals = np.column_stack([-edges[live, 1], edges[live, 0]])
+    floor = (normals * corners[live]).sum(axis=1) + margin
+    inside = (normals @ xy.T > floor[:, None]).all(axis=0)
+    return np.flatnonzero(~inside)
+
+
 def spectrum_cloud(d: DomainDescriptor, psi: SymbolExpr,
                    cfg: SamplingConfig = SamplingConfig()) -> SpectrumCloud:
     _require_metric(d)
@@ -302,10 +333,11 @@ def spectrum_cloud(d: DomainDescriptor, psi: SymbolExpr,
     singleton = spread <= 1e-12
     # slow to import: keep it out of `import blochkit`
     from scipy.spatial import ConvexHull, QhullError
+    keep = _hull_candidates(xy)
     try:
-        hull = ConvexHull(xy)
+        hull = ConvexHull(xy[keep])
         area = float(hull.volume)  # 2-d: volume is the area
-        verts = vals[hull.vertices]
+        verts = vals[keep[hull.vertices]]
     except QhullError:
         area = 0.0
         verts = np.array([vals[0]]) if singleton else np.unique(vals)

@@ -228,7 +228,7 @@ def test_bounds_eps_ladder_reaches_both_verdicts(capsys, monkeypatch):
         assert rc == 0
         verdicts = json.loads(out)["verdicts"]
         assert [verdicts["boundedness-B"], verdicts["boundedness-B0*"]] == [str(w) for w in want]
-        assert want[0] in seen and want[1] == seen[-1]
+        assert seen == want
 
 
 @pytest.mark.parametrize("extra,rungs", [([], ("0.1", "0.01", "0.001")),
@@ -496,6 +496,20 @@ def test_import_leaves_scipy_optimize_and_integrate_unloaded():
                          env=dict(os.environ))
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_verify_probes_and_report_unloaded():
+    # their public names load them on first use, `import *` included
+    code = ("import sys, blochkit; "
+            "print([m for m in ('blochkit.verify', 'blochkit.probes', 'blochkit.report') "
+            "if m in sys.modules]); "
+            "from blochkit import *; "
+            "print(sorted(set(blochkit.__all__) - set(globals())), "
+            "blochkit.__version__ == VERSION, SUITES is blochkit.verify.SUITES)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ))
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split("\n")[:2] == ["[]", "[] True True"]
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -269,3 +269,43 @@ def test_str_spec_strings():
     assert str(ball(3)) == "ball:3"
     assert str(cartan1(3, 2)) == "cartan1:3,2"
     assert str(product(ball(2), disk())) == "product(ball:2,disk)"
+
+
+def _rows(rng, m, width, dtype):
+    """Rows mixing normal entries of every scale with +-0, subnormal,
+    tiny and huge entries."""
+    special = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-300, -1e-160, 1e154, -1e300])
+    def part():
+        X = rng.standard_normal((m, width)) * 10.0 ** rng.integers(-150, 150, (m, width))
+        mask = rng.random((m, width)) < 0.3
+        X[mask] = rng.choice(special, mask.sum())
+        return X
+    return part() + 1j * part() if dtype is complex else part()
+
+
+@pytest.mark.parametrize("m", [1, 32, 33, 8193, 50000])
+def test_row_reduce_matches_numpy_reduce_bitwise(m):
+    rng = np.random.default_rng(m)
+    for dtype in (float, complex):
+        for width in range(1, 10):
+            X = _rows(rng, m, width, dtype)
+            ops = (np.add, np.hypot) if dtype is float else (np.add,)
+            for op in ops:
+                for view in (X, np.asfortranarray(X), X.real):
+                    got = domains._reduce(op, view)
+                    want = op.reduce(view, axis=-1)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (op, dtype, width, m)
+            # a leading batch axis counts its rows too
+            Y = X.reshape(1, m, width)
+            assert domains._reduce(np.add, Y).tobytes() == Y.sum(axis=-1).tobytes()
+
+
+def test_unit_directions_match_the_complex_sum_and_batched_norm():
+    for count, n in ((1, 1), (33, 3), (5000, 2), (20000, 5)):
+        got = domains._unit_directions(np.random.default_rng(count), count, n)
+        g = np.random.default_rng(count).standard_normal((count, 2 * n))
+        u = g[:, :n] + 1j * g[:, n:]
+        norms = np.linalg.norm(u, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        assert got.tobytes() == (u / norms).tobytes()

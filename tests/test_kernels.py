@@ -131,8 +131,8 @@ def test_lone_last_row_of_a_chunked_batch_keeps_its_bits(m):
 
 @pytest.mark.parametrize("m", [33, 8193, 20000])
 def test_loop_matches_table_bitwise_sweep(m):
-    # 1-5 coordinates, up to 30 terms, exponents up to 7, and a few rows
-    # holding exact zeros of either sign
+    # 1-5 coordinates, up to 30 terms, exponents up to 7, a few rows
+    # holding exact zeros of either sign, and scattered zero coordinates
     rng = np.random.default_rng(1000 + m)
     zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), -0.5j, -0.5])
     for _ in range(8):
@@ -141,6 +141,24 @@ def test_loop_matches_table_bitwise_sweep(m):
         coeffs = rng.standard_normal(t) + 1j * rng.standard_normal(t)
         Z = 0.5 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         Z[rng.integers(0, m, size=8)] = rng.choice(zeros, size=(8, n))
+        scattered = rng.random((m, n)) < 0.05
+        Z[scattered] = rng.choice(zeros[:4], size=scattered.sum())
+        (table_vals, table_grad), (loop_vals, loop_grad) = _schedules(pows, coeffs, Z)
+        np.testing.assert_array_equal(_bits(loop_vals), _bits(table_vals))
+        np.testing.assert_array_equal(_bits(loop_grad), _bits(table_grad))
+
+
+def test_first_powers_of_signed_zeros_keep_the_tables_bits():
+    # the loop multiplies z^1 as the column z, the table as z ** 1, which
+    # is +0 for a zero of either sign; the sums agree bit for bit
+    parts = np.array([0.0, -0.0, 0.5, -0.5, 1e-320, -1e-320])
+    col = np.empty(len(parts) ** 2, dtype=np.complex128)
+    col.real, col.imag = np.repeat(parts, len(parts)), np.tile(parts, len(parts))
+    rng = np.random.default_rng(5)
+    Z = rng.choice(col, size=(2000, 3))
+    pows = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 1], [2, 1, 0], [0, 0, 1]])
+    for coeffs in (np.ones(5, dtype=complex), rng.standard_normal(5) + 1j * rng.standard_normal(5),
+                   np.array([1.0, -1.0, 1j, -1j, 0.0])):
         (table_vals, table_grad), (loop_vals, loop_grad) = _schedules(pows, coeffs, Z)
         np.testing.assert_array_equal(_bits(loop_vals), _bits(table_vals))
         np.testing.assert_array_equal(_bits(loop_grad), _bits(table_grad))

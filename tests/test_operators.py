@@ -148,6 +148,17 @@ def test_boundedness_invalid_space(fast_cfg):
         boundedness_verdict(disk(), coordinate(1, 1), fast_cfg, space="L2")
 
 
+def test_boundedness_empty_ladder_is_a_usage_error(fast_cfg, monkeypatch):
+    from blochkit import operators
+
+    def no_draws(*args, **kw):
+        raise AssertionError("sampled before checking the ladder")
+
+    monkeypatch.setattr(operators, "sample_interior", no_draws)
+    with pytest.raises(UsageError, match="ladder"):
+        boundedness_verdict(disk(), coordinate(1, 1), fast_cfg, ())
+
+
 def test_boundedness_report_dict(fast_cfg):
     rep = boundedness_verdict(ball(2), coordinate(1, 2), fast_cfg)
     d = rep.as_dict()
@@ -414,6 +425,73 @@ def test_spectrum_points_are_range_values():
     for z in Z[:50]:
         expected = complex(evaluate(psi, z))
         assert np.abs(cloud.points - expected).min() <= 1e-12
+
+
+def _plain_hull(xy):
+    """(area bits, vertex coordinates in order) of qhull's hull of xy,
+    None when qhull rejects the cloud."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(xy)
+    except QhullError:
+        return None
+    return np.float64(hull.volume).tobytes(), xy[hull.vertices].tobytes()
+
+
+def _clouds(rng):
+    for k in range(60):
+        m = int(rng.integers(3, 40)) if k % 3 == 0 else int(rng.integers(40, 20000))
+        kind = k % 5
+        if kind == 0:
+            xy = rng.standard_normal((m, 2)) * 10.0 ** rng.uniform(-6, 6)
+        elif kind == 1:
+            z = np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+            v = np.polyval(rng.standard_normal(5) + 1j * rng.standard_normal(5), z)
+            xy = np.column_stack([v.real, v.imag])
+        elif kind == 2:
+            # a small square far from the origin
+            xy = rng.random((m, 2)) + rng.uniform(-1e4, 1e4, 2)
+        elif kind == 3:
+            # gridded, with duplicates and collinear points on the hull
+            xy = rng.integers(-5, 6, (m, 2)) * 0.1
+        else:
+            xy = np.round(rng.standard_normal((m, 2)), 1)
+        yield xy
+    line = np.arange(12.0)
+    yield np.zeros((12, 2))
+    yield np.column_stack([line, 3.0 * line - 1.0])
+    yield np.column_stack([line, np.zeros(12)])
+    yield np.array([[0.0, 0.0], [1.0, 0.0]])
+    yield np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    yield np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+
+
+def test_hull_prefilter_keeps_qhulls_hull_bitwise():
+    # the same area bits and the same vertices in the same order; among
+    # exact duplicates qhull may name another twin, so vertices compare by
+    # coordinates
+    from blochkit.operators import _hull_candidates
+
+    for xy in _clouds(np.random.default_rng(17)):
+        keep = _hull_candidates(xy)
+        assert np.all(np.diff(keep) > 0)
+        assert _plain_hull(xy[keep]) == _plain_hull(xy)
+
+
+def test_spectrum_cloud_hull_matches_plain_qhull():
+    from scipy.spatial import ConvexHull
+
+    from blochkit import SamplingConfig, evaluate_many
+
+    cfg = SamplingConfig(samples=20000, seed=11, refine_restarts=0)
+    psi = parse_symbol("(0.5+0.3i)*z1 + (-0.4+0.2i)*z2^2 + (0.3+0.3i)*z1*z2*z3", 3)
+    for d in (ball(3), polydisk(3)):
+        cloud = spectrum_cloud(d, psi, cfg)
+        vals = evaluate_many(psi, sample_interior(d, cfg.samples, cfg.seed, cfg.shells))
+        hull = ConvexHull(np.column_stack([vals.real, vals.imag]))
+        assert np.float64(cloud.hull_area).tobytes() == np.float64(hull.volume).tobytes()
+        assert cloud.hull_vertices.tobytes() == vals[hull.vertices].tobytes()
 
 
 def test_grid_coverage_synthetic():
