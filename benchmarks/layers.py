@@ -33,7 +33,8 @@ round:
   `blochkit` call of that command on ball:2 with a cubic symbol and the
   default 20 000 samples, and cli.rho: one `blochkit rho` call at a point
   of ball:2, output captured;
-- the `isometry` and `norm-sandwich` verify suites at seed 42.
+- the `growth-lemma`, `isometry` and `norm-sandwich` verify suites at
+  seed 42.
 
 Other sampled sups use 1000 samples (1024 for the ladder), 2 restarts and
 20 golden-section steps, as the refine workload of perfbench does. BLAS runs
@@ -175,7 +176,7 @@ def layers(bk, verify, cli) -> dict:
     cli_argvs["rho"] = ["rho", "--domain", "ball:2", "--point", "0.3,0.4j"]
     for command, argv in cli_argvs.items():
         out[f"cli.{command}_s"] = (ROUNDS, lambda argv=argv: cli_call(cli, argv))
-    for suite in ("isometry", "norm-sandwich"):
+    for suite in ("growth-lemma", "isometry", "norm-sandwich"):
         out[f"verify.{suite}_s"] = (SUITE_ROUNDS, lambda s=suite: verify.run_suite(s, 42))
     return out
 

@@ -9,8 +9,7 @@ from ._kernels import backend_name
 from .bloch import (beta_estimate, beta_upper_poly, bloch_norm_estimate,
                     lipschitz_beta_estimate,
                     little_star_membership_diagnostic, omega_bounds,
-                    omega_empirical_lower, omega_exact_ball,
-                    omega_polydisk_bounds, q_value, q_value_oracle,
+                    omega_empirical_lower, q_value, q_value_oracle,
                     q_value_via_metric, q_values)
 from .constants import (REGISTRY, AmbiguousConstantError, bloch_constant,
                         bloch_constant_candidates, has_disk_factor,
@@ -69,8 +68,7 @@ __all__ = [
     "gradient_many", "grid_coverage", "has_disk_factor", "in_class_D",
     "isometry_verdict", "lipschitz_beta_estimate",
     "little_star_membership_diagnostic", "metric_matrix", "norm_bounds",
-    "omega_bounds", "omega_empirical_lower", "omega_exact_ball",
-    "omega_polydisk_bounds", "operator_report", "parse_domain",
+    "omega_bounds", "omega_empirical_lower", "operator_report", "parse_domain",
     "parse_symbol", "path_length", "polydisk", "product", "q_value",
     "q_value_oracle", "q_value_via_metric", "q_values", "registry_table",
     "render", "resolved_constant", "rho_from_origin", "run_probe",

@@ -26,11 +26,10 @@ whatever the batch:
   plus a zero of either sign is +0. Each sum adds its terms onto +0 in
   one contiguous buffer of the chunk's rows and stores it once.
 
-`poly_grad_family` gives row i the gradient of member which[i] of a tuple
-of polynomials from their gradient sums, stacked and padded to one
-width, through the table in chunks of at most TABLE_MAX_POINTS rows, bit
-for bit each member's own. The operator-norm battery's refinement steps
-make one such call over all of their rows.
+A family of polynomials has one jet too, each block stacked over the
+members and padded with zero terms: `poly_jet_family` gives row i the
+value and the gradient of member which[i] through the table, in chunks
+of at most TABLE_MAX_POINTS rows, bit for bit each member's own.
 """
 
 from __future__ import annotations
@@ -185,34 +184,37 @@ def poly_grad(pows: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _family_jet(members: tuple) -> tuple[np.ndarray, _Sums]:
-    """The power-table columns and the stacked gradient sums of several
-    polynomials (one `_key` each), padded with zero terms to one width."""
-    jets = [_jet(*key) for key in members]
+def _stacked(keys: tuple) -> _Jet:
+    """The jets of several polynomials (one `_key` each), each block
+    stacked on a leading member axis and padded with zero terms."""
+    jets = [_jet(*key) for key in keys]
     powers = max((jet.powers for jet in jets), key=len)
-    n, width = members[0][0][1], max(jet.grad.coef.shape[1] for jet in jets)
-    exps = np.zeros((len(jets), n, width, n), dtype=np.int64)
-    coef = np.zeros((len(jets), n, width), dtype=np.complex128)
-    for k, jet in enumerate(jets):
-        w = jet.grad.coef.shape[1]
-        exps[k, :, :w], coef[k, :, :w] = jet.grad.exps, jet.grad.coef
-    return powers, _Sums(exps, coef, len(powers) - 1)
+
+    def stack(blocks):
+        sums, width = blocks[0].coef.shape[0], max(b.coef.shape[1] for b in blocks)
+        exps = np.zeros((len(blocks), sums, width, keys[0][0][1]), dtype=np.int64)
+        coef = np.zeros(exps.shape[:3], dtype=np.complex128)
+        for k, b in enumerate(blocks):
+            exps[k, :, :b.coef.shape[1]], coef[k, :, :b.coef.shape[1]] = b.exps, b.coef
+        return _Sums(exps, coef, len(powers) - 1)
+    return _Jet(powers, stack([jet.value for jet in jets]), stack([jet.grad for jet in jets]))
 
 
-def poly_grad_family(members):
-    """The gradient of a family of polynomials, each member a (pows,
-    coeffs) pair of one arity: a function grad(Z, which) whose row i is
-    the gradient of members[which[i]] at Z[i], computed through the power
-    table in chunks of at most TABLE_MAX_POINTS rows."""
-    powers, sums = _family_jet(tuple(_key(*member) for member in members))
+def poly_jet_family(members):
+    """The jet of a family of polynomials, each a (pows, coeffs) pair of
+    one arity: a function jet(Z, which, value, grad) whose row i is
+    (value, gradient) of members[which[i]] at Z[i], the half not asked
+    for None."""
+    family = _stacked(tuple(_key(*member) for member in members))
 
-    def grad(Z: np.ndarray, which: np.ndarray) -> np.ndarray:
-        out = np.empty(Z.shape, dtype=np.complex128)
-        for s in range(0, Z.shape[0], TABLE_MAX_POINTS):
-            t = s + TABLE_MAX_POINTS
-            out[s:t] = _table(powers, [sums], Z[s:t], which[s:t])[0]
-        return out
-    return grad
+    def jet(Z: np.ndarray, which: np.ndarray, value: bool = True, grad: bool = True):
+        blocks = [sums for sums, asked in ((family.value, value), (family.grad, grad)) if asked]
+        chunks = [_table(family.powers, blocks, Z[s:s + TABLE_MAX_POINTS],
+                         which[s:s + TABLE_MAX_POINTS])
+                  for s in range(0, Z.shape[0], TABLE_MAX_POINTS)]
+        out = iter(chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks)))
+        return (next(out)[:, 0] if value else None), (next(out) if grad else None)
+    return jet
 
 
 def backend_name() -> str:

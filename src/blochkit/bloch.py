@@ -7,19 +7,17 @@ geometry table of `metric`.
 
 A sampled supremum (`_sup_estimates`) is the max of a batched objective
 over stratified samples, raised by golden-section line searches from the
-best samples. Objectives sharing a domain and a config form a family
-with one draw: the operator-norm battery (`_beta_lowers`), and the
-functions of one symbol's modulus and Q (`_symbol_sups`: the isometry
-power ladder and the component table). The restarts of all members
-search in lockstep, each line cut to its closed-form chord: one batched
-gauge check per step and one family call over all rows, each row valued
-by its own member.
+best samples. Every one is drawn and refined by `_family_sups`, whose
+members are functions of |psi| and Q_psi, of one symbol or of many, that
+share a domain, a config and one draw. The scan takes each distinct
+symbol's jet once; then the restarts of all members search in lockstep,
+each line cut to its closed-form chord, with one batched gauge check and
+one call of the members' family jet per step.
 
-The component table (`_components`) is the one path by which a sampled
-sup of one symbol becomes an `EstimateInterval`: the sup-norm, the
-seminorm, the Bloch norm and the boundary weights, alone or several at
-once, each with the certified upper end its caller passes.
-`beta_estimate` and `bloch_norm_estimate` read it with one name.
+The component table (`_components`) turns such sups of one or many
+symbols into `EstimateInterval`s: the sup-norm, the seminorm, the Bloch
+norm and the boundary weights, each with the certified upper end its
+caller passes. The isometry power ladder reads `_family_sups` directly.
 
 The extremal growth omega and its floors are reads of the geometry
 table: omega is the distance from the origin, the full-class floor is
@@ -35,7 +33,6 @@ from math import inf, sqrt
 import numpy as np
 
 from .domains import (DomainDescriptor, _as_point, _unit_directions,
-                      ball as ball_domain, polydisk as polydisk_domain,
                       sample_interior, sample_near_distinguished_boundary)
 from .errors import OutsideDomainError, UsageError
 from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
@@ -43,7 +40,7 @@ from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
 from .metric import (RHO_UPPER_PAD, geometry, metric_matrix, rho_from_origin,
                      _outside, _require_interior, _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
-                      gradient, gradient_family, gradient_many, is_constant,
+                      gradient, gradient_many, is_constant, jet_family,
                       jet_many)
 
 CONSISTENT = "consistent-with-membership"
@@ -220,51 +217,49 @@ def _sup_estimates(d: DomainDescriptor, values, rows,
     return out
 
 
-def _beta_lowers(d: DomainDescriptor, fs, cfg: SamplingConfig) -> list[float]:
-    """`beta_estimate(d, f, cfg).lower` for every f in fs, from one draw
-    and one joint refinement whose steps take all gradients from one
-    `gradient_family` call."""
-    moving = [f for f in fs if is_constant(f) is None]
-    if not moving:
-        return [0.0] * len(fs)
-    grad, q = gradient_family(moving), geometry(d).q
-
-    def values(Z):
-        return np.stack([q_values(d, f, Z) for f in moving])
-
-    def rows(P, which):
-        return q(P, grad(P, which))
-
-    found = iter(_sup_estimates(d, values, rows, cfg))
-    return [0.0 if is_constant(f) is not None else next(found)[0] for f in fs]
-
-
-def _symbol_sups(d: DomainDescriptor, psi: SymbolExpr, parts, cfg: SamplingConfig,
-                 reads="vq") -> list[tuple[float, np.ndarray, int]]:
-    """Sampled sups of several functions part(v, q, Z) of one symbol, with
+def _family_sups(d: DomainDescriptor, members,
+                 cfg: SamplingConfig) -> list[tuple[float, np.ndarray, int]]:
+    """Sampled sups of a family of functions part(v, q, Z) of symbols, with
     v = |psi| and q = Q_psi at the rows of Z, from one `_sup_estimates`
-    call: one `jet_many` call per scan and per refinement step gives psi
-    and its gradient, and each row keeps its own member's part. `reads`
-    holds what the parts read, "v", "q" or both; the other is passed as
-    None and never evaluated."""
+    call. Each member is a (psi, part, reads) triple, `reads` holding what
+    part reads, "v", "q" or both; the other is passed as None and never
+    evaluated. Symbols and parts are told apart by identity. The scan is
+    one `jet_many` call per distinct symbol, and each refinement step one
+    call of the members' family jet (`jet_family`) over all rows, after
+    which each row keeps its own member's part."""
+    geo = geometry(d)
+    syms, reads = {}, {}
+    for psi, _, r in members:
+        syms[id(psi)], reads[id(psi)] = psi, reads.get(id(psi), "") + r
+    parts = list({id(part): part for _, part, _ in members}.values())
+    part_of = np.array([parts.index(part) for _, part, _ in members])
+
+    def sizes(Z, vals, grads):
+        return (None if vals is None else np.abs(vals),
+                None if grads is None else geo.q(Z, grads))
 
     def values(Z):
-        vals, grads = jet_many(psi, Z, "v" in reads, "q" in reads)
-        v = None if vals is None else np.abs(vals)
-        q = None if grads is None else geometry(d).q(Z, grads)
-        return np.stack([part(v, q, Z) for part in parts])
+        found = {key: sizes(Z, *jet_many(psi, Z, "v" in reads[key], "q" in reads[key]))
+                 for key, psi in syms.items()}
+        return np.stack([part(*found[id(psi)], Z) for psi, part, _ in members])
+
+    jet, asked = jet_family([psi for psi, _, _ in members]), "".join(reads.values())
+    value, grad = "v" in asked, "q" in asked
 
     def rows(P, which):
-        return values(P)[which, np.arange(len(which))]
+        v, q = sizes(P, *jet(P, which, value, grad))
+        if len(parts) == 1:  # as in the battery: nothing to gather
+            return parts[0](v, q, P)
+        return np.stack([part(v, q, P) for part in parts])[part_of[which], np.arange(len(P))]
 
     return _sup_estimates(d, values, rows, cfg)
 
 
-def _components(d: DomainDescriptor, psi: SymbolExpr, cfg: SamplingConfig,
-                certs: dict[str, float | None]) -> dict[str, EstimateInterval]:
-    """Sampled sups of one symbol as intervals, from one `_symbol_sups`
-    call. `certs` maps each wanted component to its certified upper end
-    (None for +inf):
+def _components(d: DomainDescriptor, asks,
+                cfg: SamplingConfig) -> list[dict[str, EstimateInterval]]:
+    """Sampled sups of symbols as intervals, from one `_family_sups` call.
+    Each ask is a (psi, certs) pair, and `certs` maps each wanted
+    component of psi to its certified upper end (None for +inf):
 
       "sup"     sup |psi|
       "beta"    the seminorm sup Q_psi
@@ -276,33 +271,39 @@ def _components(d: DomainDescriptor, psi: SymbolExpr, cfg: SamplingConfig,
     lower). The Bloch norm adds |psi(0)| to both ends of the seminorm
     interval whose certificate is max(certificate - |psi(0)|, 0). A
     seminorm or Bloch-norm certificate below the sampled lower end raises
-    UsageError. Constant symbols are exact, and `cfg` is not read."""
+    UsageError. Constant symbols are exact; `cfg` is read only when some
+    symbol is not constant."""
     _require_metric(d)
-    c = is_constant(psi)
-    if c is not None:
-        return {name: exact(abs(c) if name in ("sup", "bloch") else 0.0)
-                for name in certs}
     geo = geometry(d)
     parts = {"sup": lambda v, q, Z: v,
              "beta": lambda v, q, Z: q,
-             "bloch": lambda v, q, Z: q,
              "sigma": lambda v, q, Z: q * geo.growth(Z, False),
              "sigma0": lambda v, q, Z: q * geo.growth(Z, True)}
-    reads = {"v" if name == "sup" else "q" for name in certs}
-    found = _symbol_sups(d, psi, [parts[name] for name in certs], cfg, reads)
-    out = {}
-    for (name, cert), (lower, argmax, ns) in zip(certs.items(), found):
-        base = 0.0
-        if name == "bloch":
-            base = abs(evaluate(psi, np.zeros(d.ambient_dim)))
-            cert = cert if cert is None else max(cert - base, 0.0)
-        upper = inf
-        if cert is not None:
-            if name in ("beta", "bloch") and cert < lower - 1e-9:
-                raise UsageError("supplied upper bound contradicts sampled lower")
-            upper = max(float(cert), lower)
-        out[name] = EstimateInterval(base + lower, base + upper, MODE_SAMPLED_LOWER,
-                                     ns, cfg.seed, argmax=tuple(argmax.tolist()))
+    parts["bloch"] = parts["beta"]
+    members = [(psi, parts[name], "v" if name == "sup" else "q")
+               for psi, certs in asks if is_constant(psi) is None for name in certs]
+    found = iter(_family_sups(d, members, cfg) if members else ())
+    out = []
+    for psi, certs in asks:
+        c = is_constant(psi)
+        if c is not None:
+            out.append({name: exact(abs(c) if name in ("sup", "bloch") else 0.0)
+                        for name in certs})
+            continue
+        comps = {}
+        out.append(comps)
+        for (name, cert), (lower, argmax, ns) in zip(certs.items(), found):
+            base = 0.0
+            if name == "bloch":
+                base = abs(evaluate(psi, np.zeros(d.ambient_dim)))
+                cert = cert if cert is None else max(cert - base, 0.0)
+            upper = inf
+            if cert is not None:
+                if name in ("beta", "bloch") and cert < lower - 1e-9:
+                    raise UsageError("supplied upper bound contradicts sampled lower")
+                upper = max(float(cert), lower)
+            comps[name] = EstimateInterval(base + lower, base + upper, MODE_SAMPLED_LOWER,
+                                           ns, cfg.seed, argmax=tuple(argmax.tolist()))
     return out
 
 
@@ -314,14 +315,14 @@ def beta_estimate(d: DomainDescriptor, f: SymbolExpr,
     Constant symbols are exact zero. The upper end is +inf unless the
     caller supplies a certified bound.
     """
-    return _components(d, f, cfg, {"beta": certified_upper})["beta"]
+    return _components(d, [(f, {"beta": certified_upper})], cfg)[0]["beta"]
 
 
 def bloch_norm_estimate(d: DomainDescriptor, f: SymbolExpr,
                         cfg: SamplingConfig = SamplingConfig(),
                         certified_upper: float | None = None) -> EstimateInterval:
     """|f(0)| + seminorm, same interval discipline as beta_estimate."""
-    return _components(d, f, cfg, {"bloch": certified_upper})["bloch"]
+    return _components(d, [(f, {"bloch": certified_upper})], cfg)[0]["bloch"]
 
 
 def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
@@ -342,19 +343,6 @@ def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
 
 # ---------------------------------------------------------------------------
 # extremal growth omega
-
-def omega_exact_ball(z) -> float:
-    """Extremal growth on disk or ball: arctanh of the euclidean size."""
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    return rho_from_origin(ball_domain(len(z)), z).lower
-
-
-def omega_polydisk_bounds(z) -> EstimateInterval:
-    """Exact extremal growth on the polydisk: the l2 norm of the
-    coordinate values arctanh|z_k|."""
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    return rho_from_origin(polydisk_domain(len(z)), z)
-
 
 def omega_empirical_lower(d: DomainDescriptor, z,
                           cfg: SamplingConfig = SamplingConfig(),

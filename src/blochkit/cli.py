@@ -34,10 +34,9 @@ from .errors import (DimensionMismatch, NumericalDomainError, ParseError,
                      SuiteFailure, UsageError)
 from .estimates import DEFAULT_EPS_LADDER, SamplingConfig
 from .metric import rho_from_origin
-from .operators import (DEFAULT_BOUNDARY_EPS, _sandwich, _sandwich_parts,
-                        boundedness_verdict, compactness_verdict,
-                        empirical_opnorm_lower, isometry_verdict, norm_bounds,
-                        spectrum_cloud)
+from .operators import (DEFAULT_BOUNDARY_EPS, _opnorms, _sandwich,
+                        _sandwich_parts, boundedness_verdict,
+                        compactness_verdict, isometry_verdict, spectrum_cloud)
 from .probes import PROBES, run_probe
 from .report import _RENDERERS, AnalysisReport, render, timings_enabled
 from .symbols import Polynomial, parse_symbol
@@ -240,7 +239,7 @@ def _run_qf(rep, d, psi, z, opts):
 
 def _run_beta(rep, d, psi, z, opts):
     cert = beta_upper_poly(psi) if isinstance(psi, Polynomial) else None
-    parts = _components(d, psi, opts["cfg"], {"beta": cert, "bloch": None})
+    parts, = _components(d, [(psi, {"beta": cert, "bloch": None})], opts["cfg"])
     rep.add_interval("beta", parts["beta"], ref="seminorm:sampled")
     rep.add_interval("bloch-norm", parts["bloch"], ref="seminorm:plus-origin-value")
 
@@ -276,8 +275,7 @@ def _run_bounds(rep, d, psi, z, opts):
 
 def _run_opnorm(rep, d, psi, z, opts):
     cfg = opts["cfg"]
-    nb = norm_bounds(d, psi, cfg)
-    emp = empirical_opnorm_lower(d, psi, cfg, seed=cfg.seed)
+    (nb, emp), = _opnorms(d, [psi], cfg, seed=cfg.seed)
     rep.add("sandwich-lower", nb.lower, mode="sampled-lower", ref="norm:sandwich")
     rep.add("sandwich-upper", nb.upper, mode="analytic-bounds", ref="norm:sandwich")
     rep.add("battery-lower", emp, mode="sampled-lower", ref="norm:battery")

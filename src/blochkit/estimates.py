@@ -77,6 +77,8 @@ class SamplingConfig:
             raise UsageError("samples must be >= 1")
         if not self.shells or any(not (0.0 <= s < 1.0) for s in self.shells):
             raise UsageError("shells must be a nonempty list in [0, 1)")
+        if self.refine_iters < 0 or self.refine_restarts < 0:
+            raise UsageError("refine_iters and refine_restarts must be >= 0")
 
     def with_(self, **kw) -> "SamplingConfig":
         return replace(self, **kw)

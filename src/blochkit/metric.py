@@ -312,12 +312,6 @@ def bergman_metric(d: DomainDescriptor, z) -> HermitianMetric:
     return HermitianMetric(tuple(z.tolist()), metric_matrix(d, z))
 
 
-def metric_form(d: DomainDescriptor, z, u) -> float:
-    """H_z(u, u*) through the closed forms (no matrix assembly)."""
-    g = geometry(d)
-    return float(g.form(_as_point(d, z), _as_point(d, u)))
-
-
 @dataclass(frozen=True)
 class PiecewisePath:
     """Linear interpolation through nodes, rows of a complex array."""

@@ -8,8 +8,9 @@ Key facts wired into the verdicts:
     ||psi||_inf + sigma_psi), so sampled lower bounds for the
     components certify an operator-norm lower bound. Every component,
     asked alone (`supnorm_estimate`, `sigma_estimate`) or several at
-    once (`norm_bounds`, `operator_report`), is a read of
-    `bloch._components` with its `_ceiling`.
+    once (`norm_bounds`, `operator_report`), and every Bloch norm of the
+    battery's products is a read of `bloch._components`, for one symbol
+    or many (`_sandwiches`).
   * the spectrum is the closure of the symbol's range, and the
     resolvent at lambda is controlled by sigma_psi / dist^2.
   * M_psi is compact only for the zero symbol.
@@ -24,9 +25,8 @@ from math import inf, isinf
 
 import numpy as np
 
-from .bloch import (AGAINST, _beta_lowers, _components, _shell_maxima,
-                    _symbol_sups, beta_upper_poly,
-                    little_star_membership_diagnostic)
+from .bloch import (AGAINST, _components, _family_sups, _shell_maxima,
+                    beta_upper_poly, little_star_membership_diagnostic)
 from .constants import in_class_D, resolved_constant
 from .domains import DomainDescriptor, Kind, sample_interior
 from .errors import UsageError
@@ -193,11 +193,24 @@ def _ceiling(d: DomainDescriptor, psi: SymbolExpr, name: str) -> float | None:
     return sigma_upper_poly(d, psi)
 
 
+def _sandwiches(d: DomainDescriptor, psis, cfg: SamplingConfig, names: tuple[str, ...],
+                battery=()) -> list[tuple[dict[str, EstimateInterval], float]]:
+    """Each symbol's sandwich components `names`, each with its
+    `_ceiling`, and its battery lower bound, the max over the (f, norm)
+    pairs of `battery` of lower(||psi f||_B) / norm (0.0 without a
+    battery), from one `bloch._components` call."""
+    asks = [(psi, {name: _ceiling(d, psi, name) for name in names}) for psi in psis]
+    asks += [(combine("product", psi, f), {"bloch": None}) for psi in psis for f, _ in battery]
+    found = _components(d, asks, cfg)
+    products = iter(found[len(psis):])
+    return [(parts, max([0.0] + [product["bloch"].lower / norm
+                                 for (_, norm), product in zip(battery, products)]))
+            for parts in found[:len(psis)]]
+
+
 def _sandwich_parts(d: DomainDescriptor, psi: SymbolExpr, cfg: SamplingConfig,
                     names: tuple[str, ...]) -> dict[str, EstimateInterval]:
-    """The sandwich components `names` of psi, each with its `_ceiling`,
-    from one `bloch._components` call."""
-    return _components(d, psi, cfg, {name: _ceiling(d, psi, name) for name in names})
+    return _sandwiches(d, [psi], cfg, names)[0][0]
 
 
 def _sandwich(parts: dict[str, EstimateInterval], space: str) -> NormBounds:
@@ -225,7 +238,9 @@ def norm_bounds(d: DomainDescriptor, psi: SymbolExpr,
     return _sandwich(_sandwich_parts(d, psi, cfg, ("sup", "bloch", sigma)), space)
 
 
-def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[Polynomial]:
+def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[tuple[Polynomial, float]]:
+    """The test functions f of the battery, each with its certified Bloch
+    norm, where that is positive."""
     n = d.ambient_dim
     out = [constant(1.0, n)]
     for j in range(min(n, 3)):
@@ -243,7 +258,7 @@ def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[Polynomial]:
             terms.append((exps, c))
         if terms:
             out.append(combine("sum", *[Polynomial(n, (t,)) for t in terms]))
-    return out
+    return [(f, norm) for f in out if (norm := _ceiling(d, f, "bloch")) > 0]
 
 
 def empirical_opnorm_lower(d: DomainDescriptor, psi: SymbolExpr,
@@ -251,16 +266,15 @@ def empirical_opnorm_lower(d: DomainDescriptor, psi: SymbolExpr,
                            nfuncs: int = 12, seed: int = 42) -> float:
     """Operator-norm lower bound from a battery of certified test
     functions: max over f of lower(||psi f||_B) / upper(||f||_B)."""
-    _require_metric(d)
-    zero = np.zeros(d.ambient_dim)
-    pairs = [(combine("product", psi, f), denom) for f in _battery(d, nfuncs, seed)
-             if (denom := _ceiling(d, f, "bloch")) > 0]
-    betas = _beta_lowers(d, [prod for prod, _ in pairs], cfg)
-    best = 0.0
-    for (prod, denom), beta in zip(pairs, betas):
-        # the Bloch-norm lower of bloch_norm_estimate: |f(0)| + seminorm
-        best = max(best, (abs(evaluate(prod, zero)) + beta) / denom)
-    return best
+    return _sandwiches(d, [psi], cfg, (), _battery(d, nfuncs, seed))[0][1]
+
+
+def _opnorms(d: DomainDescriptor, psis, cfg: SamplingConfig, nfuncs: int = 12,
+             seed: int = 42) -> list[tuple[NormBounds, float]]:
+    """`norm_bounds(d, psi, cfg)` and `empirical_opnorm_lower(d, psi, cfg,
+    nfuncs, seed)` of every symbol in psis, from one `_sandwiches` call."""
+    return [(_sandwich(parts, "B"), lower) for parts, lower in _sandwiches(
+        d, psis, cfg, ("sup", "bloch", "sigma"), _battery(d, nfuncs, seed))]
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +500,9 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
                 ks.append(k)
             if ks:
                 # Q of psi^k is k |psi|^(k-1) Q_psi
-                rungs = [lambda v, q, Z, k=k: k * v ** (k - 1) * q for k in ks]
-                betas = {k: sup[0] for k, sup in
-                         zip(ks, _symbol_sups(d, psi, rungs, small))}
+                rungs = [(psi, lambda v, q, Z, k=k: k * v ** (k - 1) * q, "vq")
+                         for k in ks]
+                betas = {k: sup[0] for k, sup in zip(ks, _family_sups(d, rungs, small))}
         return IsometryReport(
             "not-isometry",
             "non-constant symbol on a domain with seminorm ceiling below one",

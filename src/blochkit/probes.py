@@ -15,7 +15,7 @@ from .domains import (_ROWS, DomainDescriptor, sample_interior,
 from .errors import UnsupportedDomainError, UsageError
 from .estimates import DEFAULT_EPS_LADDER, SamplingConfig
 from .metric import rho_from_origin
-from .operators import empirical_opnorm_lower, norm_bounds
+from .operators import _opnorms
 from .report import AnalysisReport, ResultRow
 from .symbols import SymbolExpr, coordinate, format_complex
 
@@ -120,8 +120,7 @@ def probe_norm_sharpness(d: DomainDescriptor, cfg: SamplingConfig,
         psi = coordinate(1, d.ambient_dim)
         symbol_text = symbol_text or "z1"
     rep = _report("norm-sharpness", d, cfg, symbol=symbol_text)
-    nb = norm_bounds(d, psi, cfg)
-    emp = empirical_opnorm_lower(d, psi, cfg, seed=cfg.seed)
+    (nb, emp), = _opnorms(d, [psi], cfg, seed=cfg.seed)
     rows = [
         ("empirical-lower", emp, emp, nb.upper),
         ("sandwich-lower", nb.lower, nb.lower, nb.upper),

@@ -370,23 +370,29 @@ def gradient_many(f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
     return jet_many(f, Z, value=False)[1]
 
 
-def gradient_family(fs) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The gradient of a family of symbols of one arity: a function
-    grad(Z, which) whose row i is the holomorphic gradient of fs[which[i]]
-    at Z[i]. A family of polynomials goes through one call of the family
-    kernel; a family with any other member takes each member's rows to
-    `gradient_many`."""
+def jet_family(fs) -> Callable:
+    """The jet of a family of symbols of one arity: a function
+    jet(Z, which, value, grad) whose row i holds what `jet_many` gives
+    for fs[which[i]] at Z[i]. A family of one symbol, however often it is
+    listed, is a direct `jet_many` call over all rows; a family of
+    polynomials is one call of the family kernel; any other family takes
+    each member's rows, in order, to `jet_many`."""
+    if all(f is fs[0] for f in fs):
+        return lambda Z, which, value, grad: jet_many(fs[0], Z, value, grad)
     if all(isinstance(f, Polynomial) for f in fs):
-        return _kernels.poly_grad_family([_poly_arrays(f) for f in fs])
+        return _kernels.poly_jet_family([_poly_arrays(f) for f in fs])
 
-    def grad(Z: np.ndarray, which: np.ndarray) -> np.ndarray:
-        out = np.empty(Z.shape, dtype=np.complex128)
+    def jet(Z: np.ndarray, which: np.ndarray, value: bool, grad: bool):
+        out = (np.empty(len(Z), dtype=np.complex128) if value else None,
+               np.empty(Z.shape, dtype=np.complex128) if grad else None)
         for k, f in enumerate(fs):
             rows = which == k
             if rows.any():
-                out[rows] = gradient_many(f, Z[rows])
+                for block, got in zip(out, jet_many(f, Z[rows], value, grad)):
+                    if got is not None:
+                        block[rows] = got
         return out
-    return grad
+    return jet
 
 
 def evaluate(f: SymbolExpr, z) -> complex:

@@ -14,7 +14,7 @@ from math import atanh, inf, sqrt
 
 import numpy as np
 
-from .bloch import (beta_estimate, omega_empirical_lower, q_value,
+from .bloch import (_components, omega_empirical_lower, q_value,
                     q_value_oracle)
 from .constants import (REGISTRY, bloch_constant, bloch_constant_candidates,
                         has_disk_factor, in_class_D)
@@ -25,9 +25,8 @@ from .errors import UsageError
 from .estimates import SamplingConfig
 from .metric import (QUAD_ABS_TOL, path_length, rho_from_origin,
                      segment_from_origin)
-from .operators import (compactness_verdict, empirical_opnorm_lower,
-                        grid_coverage, isometry_verdict, norm_bounds,
-                        spectrum_cloud)
+from .operators import (_opnorms, compactness_verdict, grid_coverage,
+                        isometry_verdict, spectrum_cloud)
 from .report import AnalysisReport, ResultRow
 from .symbols import (Polynomial, SymbolExpr, _poly_from_dict, combine,
                       constant, coordinate, evaluate, evaluate_many,
@@ -202,11 +201,12 @@ def suite_growth_lemma(seed: int = 42) -> list[CheckResult]:
     rng = _rng(seed, 41)
     cfg = SamplingConfig(samples=3000, seed=_child_seed(seed, 42),
                          refine_restarts=3, refine_iters=30)
+    fs = [_random_poly(rng, 2, degree=4, nonconstant=True) for _ in range(50)]
+    found = _components(d, [(f, {"beta": None}) for f in fs], cfg)
     worst = -inf
     ok = True
-    for i in range(50):
-        f = _random_poly(rng, 2, degree=4, nonconstant=True)
-        bhat = beta_estimate(d, f, cfg).lower
+    for i, (f, parts) in enumerate(zip(fs, found)):
+        bhat = parts["beta"].lower
         Z = sample_interior(d, 20, _child_seed(seed, 430 + i))
         f0 = abs(evaluate(f, np.zeros(2)))
         vals = np.abs(evaluate_many(f, Z))
@@ -231,9 +231,7 @@ def suite_norm_sandwich(seed: int = 42) -> list[CheckResult]:
     worst_u = -inf
     worst_m = -inf
     for d in (ball(2), polydisk(2)):
-        for psi in symbols:
-            nb = norm_bounds(d, psi, cfg)
-            emp = empirical_opnorm_lower(d, psi, cfg, nfuncs=6, seed=cfg.seed)
+        for nb, emp in _opnorms(d, symbols, cfg, nfuncs=6, seed=cfg.seed):
             worst_u = max(worst_u, emp - nb.upper)
             ok_upper &= emp <= nb.upper + 1e-9
             # the f = 1 battery member reproduces the Bloch-norm

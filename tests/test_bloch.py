@@ -17,8 +17,6 @@ from blochkit import (
     little_star_membership_diagnostic,
     omega_bounds,
     omega_empirical_lower,
-    omega_exact_ball,
-    omega_polydisk_bounds,
     parse_symbol,
     polydisk,
     product,
@@ -36,7 +34,7 @@ from blochkit.bloch import _INVPHI, AGAINST, CONSISTENT, _refine_max
 from blochkit.metric import geometry
 from blochkit.estimates import SamplingConfig
 from blochkit.errors import OutsideDomainError, UsageError
-from blochkit.symbols import LogFrac, format_complex
+from blochkit.symbols import LogFrac, Polynomial, format_complex
 
 from conftest import mkpoly
 
@@ -313,6 +311,57 @@ def test_refinement_raises_the_scan_within_the_certificates(d, f, fast_cfg):
         assert sigma_estimate(d, f, fast_cfg).lower <= sigma_upper_poly(d, f)
 
 
+def _beta_part(v, q, Z):
+    return q
+
+
+def _sup_part(v, q, Z):
+    return v
+
+
+def _sigma_part(v, q, Z):
+    return q * geometry(polydisk(2)).growth(Z)
+
+
+def _rung_part(v, q, Z):
+    return 3 * v ** 2 * q
+
+
+FAMILY_SYMBOLS = (
+    mkpoly(2, {(1, 0): 0.7 + 0.2j, (0, 1): -0.3j, (2, 1): 0.4}),
+    mkpoly(2, {(0, 3): 1.0}),  # one term
+    parse_symbol("fw(2,0.4+0.3i)", 2),
+    parse_symbol("(0.5 + z1*z2) * h(1,0.6) + 0.2*z2^2", 2),  # a product tree
+    constant(0.3 - 0.4j, 2),
+)
+
+
+@pytest.mark.parametrize("restarts", [0, 3])
+def test_family_members_match_their_one_member_calls(restarts):
+    # a mixed family (polynomials, a log-fraction, a product tree and a
+    # constant; one symbol with three parts) refines every member as its
+    # own one-member call does, bit for bit
+    d = polydisk(2)
+    p, one_term, log, tree, const = FAMILY_SYMBOLS
+    members = [(p, _beta_part, "q"), (log, _sup_part, "v"), (one_term, _sigma_part, "q"),
+               (tree, _rung_part, "vq"), (p, _sup_part, "v"), (const, _beta_part, "q"),
+               (tree, _beta_part, "q"), (p, _rung_part, "vq"), (const, _sup_part, "v")]
+    cfg = SamplingConfig(samples=400, seed=5, refine_restarts=restarts, refine_iters=10)
+    found = bloch._family_sups(d, members, cfg)
+    assert len(found) == len(members)
+    for member, (best, argmax, evals) in zip(members, found):
+        (alone, alone_argmax, alone_evals), = bloch._family_sups(d, [member], cfg)
+        assert best.hex() == alone.hex()
+        assert argmax.tobytes() == alone_argmax.tobytes()
+        assert evals == alone_evals == 400
+    # the polynomials alone take the family kernel
+    polys = [m for m in members if isinstance(m[0], Polynomial)]
+    for member, (best, argmax, _) in zip(polys, bloch._family_sups(d, polys, cfg)):
+        (alone, alone_argmax, _), = bloch._family_sups(d, [member], cfg)
+        assert best.hex() == alone.hex()
+        assert argmax.tobytes() == alone_argmax.tobytes()
+
+
 def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
     d = ball(3)
     fs = [mkpoly(3, {(1, 0, 0): 0.5, (1, 1, 0): 1.0 - 1.0j, (0, 0, 3): 0.3}),
@@ -343,12 +392,14 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
     monkeypatch.setattr(metric, "contains", counted_contains)
     monkeypatch.setattr(bloch, "_outside", counted_outside)
     monkeypatch.setattr(bloch, "_refine_max", counted_refine)
+    # the seminorms of every f and the sup-norm of the first, as one family
+    family = [(f, _beta_part, "q") for f in fs] + [(fs[0], _sup_part, "v")]
     for restarts in (1, 3, 8):
         cfg = SamplingConfig(samples=500, seed=3, refine_restarts=restarts,
                              refine_iters=iters)
         gauges, calls = [], []
-        for run, k in ((lambda: beta_estimate(d, fs[0], cfg), 1),
-                       (lambda: bloch._beta_lowers(d, fs, cfg), len(fs))):
+        for run, k in ((lambda: bloch._family_sups(d, family[:1], cfg), 1),
+                       (lambda: bloch._family_sups(d, family, cfg), len(family))):
             counts.update(contains=0, gauge=0, rows=0, members=set())
             run()
             assert counts["contains"] == 0
@@ -388,25 +439,6 @@ def test_scan_without_restarts_reports_the_argsort_top_point():
 
 
 # ---------------------------------------------------------------- growth scale
-
-
-def test_omega_exact_ball():
-    assert omega_exact_ball((0.3, 0.4)) == pytest.approx(ATANH_HALF, abs=1e-12)
-    assert omega_exact_ball(0.0) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(OutsideDomainError):
-        omega_exact_ball((1.0, 0.0))
-
-
-def test_omega_polydisk_bounds_axis_point():
-    est = omega_polydisk_bounds((0.5, 0.0))
-    assert est.lower == pytest.approx(ATANH_HALF, abs=1e-12)
-    assert est.upper - est.lower <= 2e-8
-
-
-def test_omega_polydisk_bounds_diagonal():
-    est = omega_polydisk_bounds((0.5, 0.5))
-    assert est.lower == est.upper == pytest.approx(math.sqrt(2) * ATANH_HALF, rel=1e-12)
-    assert est.upper <= 2 * ATANH_HALF + 1e-9
 
 
 @pytest.mark.parametrize("d, z, value", [
@@ -467,6 +499,30 @@ def test_omega_bounds_interval_on_polydisk():
     est = omega_bounds(polydisk(2), (0.5, 0.5))
     assert est.lower <= est.upper
     assert est.lower >= ATANH_HALF - 1e-9
+
+
+# the extremal growth on the ball and the polydisk is the distance from
+# the origin: arctanh of the euclidean size, and the l2 norm of the
+# coordinate values arctanh|z_k|
+
+
+def test_omega_exact_ball():
+    assert rho_from_origin(ball(2), (0.3, 0.4)).lower == pytest.approx(ATANH_HALF, abs=1e-12)
+    assert rho_from_origin(ball(1), 0.0).lower == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(OutsideDomainError):
+        rho_from_origin(ball(2), (1.0, 0.0))
+
+
+def test_omega_polydisk_bounds_axis_point():
+    est = rho_from_origin(polydisk(2), (0.5, 0.0))
+    assert est.lower == pytest.approx(ATANH_HALF, abs=1e-12)
+    assert est.upper - est.lower <= 2e-8
+
+
+def test_omega_polydisk_bounds_diagonal():
+    est = rho_from_origin(polydisk(2), (0.5, 0.5))
+    assert est.lower == est.upper == pytest.approx(math.sqrt(2) * ATANH_HALF, rel=1e-12)
+    assert est.upper <= 2 * ATANH_HALF + 1e-9
 
 
 # ---------------------------------------------------------------- membership diagnostics

@@ -74,6 +74,9 @@ def test_sampling_config_defaults_and_with():
         {"shells": (0.0, 1.0)},
         {"shells": (0.5, -0.1)},
         {"shells": ()},
+        # a negative restart count would start from all samples but the worst
+        {"refine_restarts": -1},
+        {"refine_iters": -1},
     ],
 )
 def test_sampling_config_validation(kwargs):

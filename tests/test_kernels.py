@@ -180,8 +180,9 @@ def test_one_point_matches_its_row_in_a_batch(pows):
         alone = Z[:1].copy()
         np.testing.assert_array_equal(_bits(kernels.poly_eval(pows, coeffs, alone)), _bits(vals[:1]))
         np.testing.assert_array_equal(_bits(kernels.poly_grad(pows, coeffs, alone)), _bits(grad[:1]))
-        family = kernels.poly_grad_family([(pows, coeffs), other])(alone, np.array([0]))
-        np.testing.assert_array_equal(_bits(family), _bits(grad[:1]))
+        family = kernels.poly_jet_family([(pows, coeffs), other])(alone, np.array([0]))
+        np.testing.assert_array_equal(_bits(family[0]), _bits(vals[:1]))
+        np.testing.assert_array_equal(_bits(family[1]), _bits(grad[:1]))
 
 
 @pytest.mark.parametrize("m", [1, 32, 33, 20000])
@@ -216,17 +217,25 @@ def _family_members():
 
 @pytest.mark.parametrize("m", [1, 31, 32, 33, 100])
 def test_family_kernel_matches_each_member_bitwise(m):
+    # the value blocks are two terms wide or more, as each member's own,
+    # and the one-term member's value is padded to the widest member
     members = _family_members()
     rng = np.random.default_rng(m)
     Z = 0.55 * (rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))
     which = rng.integers(0, len(members), size=m)
     which[: len(members)] = np.arange(len(members))[:m]
-    grad = kernels.poly_grad_family(members)(Z, which)
-    assert grad.shape == Z.shape
+    jet = kernels.poly_jet_family(members)
+    vals, grad = jet(Z, which)
+    assert vals.shape == (m,) and grad.shape == Z.shape
+    assert jet(Z, which, grad=False)[1] is None and jet(Z, which, value=False)[0] is None
+    np.testing.assert_array_equal(_bits(jet(Z, which, grad=False)[0]), _bits(vals))
+    np.testing.assert_array_equal(_bits(jet(Z, which, value=False)[1]), _bits(grad))
     for i in range(m):
         pows, coeffs = members[which[i]]
-        alone = kernels.poly_grad(pows, coeffs, Z[i:i + 1])
-        np.testing.assert_array_equal(_bits(grad[i:i + 1]), _bits(alone))
+        np.testing.assert_array_equal(_bits(vals[i:i + 1]),
+                                      _bits(kernels.poly_eval(pows, coeffs, Z[i:i + 1])))
+        np.testing.assert_array_equal(_bits(grad[i:i + 1]),
+                                      _bits(kernels.poly_grad(pows, coeffs, Z[i:i + 1])))
 
 
 def test_backend_name_reports_active_kernel():

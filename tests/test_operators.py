@@ -216,11 +216,10 @@ def test_families_match_their_members_bit_for_bit(spec, psi, fast_cfg):
     # refinement; each member's figure must be that of its own estimate
     d = parse_domain(spec)
     reference = 0.0
-    for f in _battery(d, 8, 42):
-        denom = _ceiling(d, f, "bloch")
-        if denom > 0:
-            num = bloch_norm_estimate(d, combine("product", psi, f), fast_cfg).lower
-            reference = max(reference, num / denom)
+    for f, denom in _battery(d, 8, 42):
+        assert denom == _ceiling(d, f, "bloch") > 0
+        num = bloch_norm_estimate(d, combine("product", psi, f), fast_cfg).lower
+        reference = max(reference, num / denom)
     assert repr(empirical_opnorm_lower(d, psi, fast_cfg, nfuncs=8)) == repr(reference)
     betas = isometry_verdict(d, psi, fast_cfg).power_betas
     if d.kind.value == "ball":
