@@ -40,9 +40,11 @@ Other sampled sups use 1000 samples (1024 for the ladder), 2 restarts and
 20 golden-section steps, as the refine workload of perfbench does. BLAS runs
 on one thread. Each invocation's bests are merged into the JSON file at
 --out under --label, next to an environment block (CPU count, Python,
-numpy and scipy versions, kernel backend). Measuring the same code under
-the same label again appends the invocation, and the label reports the
-median and quartiles of the per-invocation bests.
+numpy and scipy versions, kernel backend). Each label also records its
+code digest, the line count of src/blochkit/*.py and the number of names
+in `blochkit.__all__`. Measuring the same code under the same label again
+appends the invocation, and the label reports the median and quartiles of
+the per-invocation bests.
 
 A process can run in a faster or slower speed mode than the next. With
 --against, the other checkout's src/blochkit is copied into a temporary
@@ -127,6 +129,16 @@ def code_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def code_record(root: Path, bk) -> dict:
+    """The code digest of a checkout, next to the size of its code: the
+    line count of src/blochkit/*.py (as `wc -l` counts) and the number of
+    names in `blochkit.__all__`."""
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (root / "src" / "blochkit").glob("*.py"))
+    return {"code_sha256": code_digest(root), "src_lines": lines,
+            "public_names": len(bk.__all__)}
+
+
 def cli_call(cli, argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
@@ -206,12 +218,13 @@ def load(root: Path, name: str):
     return package
 
 
-def record_bests(data: dict, label: str, root: Path, best: dict) -> dict:
+def record_bests(data: dict, label: str, code: dict, best: dict) -> dict:
     """Append one invocation's bests to the run under `label`, starting the
     run again when its code changed; returns the run's summary."""
     record = data.setdefault("runs", {}).get(label)
-    if record is None or record["code_sha256"] != code_digest(root):
-        record = {"code_sha256": code_digest(root), "bests": []}
+    if record is None or record["code_sha256"] != code["code_sha256"]:
+        record = {"bests": []}
+    record.update(code)
     # the same code measured again: one more invocation's bests
     record["bests"].append(best)
     record["invocations"] = len(record["bests"])
@@ -259,9 +272,10 @@ def main(argv=None) -> int:
     if data.get("environment", environment) != environment:
         raise SystemExit(f"{args.out} was written under another environment")
     data["environment"] = environment
-    report = {args.label: record_bests(data, args.label, root, bests[0])}
+    report = {args.label: record_bests(data, args.label, code_record(root, bk), bests[0])}
     if args.against is not None:
-        report[args.against_label] = record_bests(data, args.against_label, against, bests[1])
+        report[args.against_label] = record_bests(
+            data, args.against_label, code_record(against, packages[1][0]), bests[1])
         pair = f"{args.label}/{args.against_label}"
         ratios = data.setdefault("ratios", {}).get(pair)
         codes = [data["runs"][label]["code_sha256"] for label in (args.label, args.against_label)]

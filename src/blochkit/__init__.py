@@ -7,10 +7,8 @@ constants."""
 
 from ._kernels import backend_name
 from .bloch import (beta_estimate, beta_upper_poly, bloch_norm_estimate,
-                    lipschitz_beta_estimate,
-                    little_star_membership_diagnostic, omega_bounds,
-                    omega_empirical_lower, q_value, q_value_oracle,
-                    q_value_via_metric, q_values)
+                    lipschitz_beta_estimate, little_star_membership_diagnostic,
+                    omega_empirical_lower, q_value, q_value_oracle, q_values)
 from .constants import (REGISTRY, AmbiguousConstantError, bloch_constant,
                         bloch_constant_candidates, has_disk_factor,
                         in_class_D, registry_table, resolved_constant,
@@ -25,8 +23,8 @@ from .errors import (BlochkitError, BranchCutError, DimensionMismatch,
                      UnsupportedMetricError, UsageError)
 from .estimates import (DEFAULT_EPS_LADDER, EstimateInterval, SamplingConfig,
                         exact)
-from .metric import (bergman_metric, metric_matrix, path_length,
-                     rho_from_origin, segment_from_origin)
+from .metric import (metric_matrix, path_length, rho_from_origin,
+                     segment_from_origin)
 from .operators import (boundedness_verdict, compactness_verdict,
                         empirical_opnorm_lower, grid_coverage,
                         isometry_verdict, norm_bounds, operator_report,
@@ -35,6 +33,8 @@ from .operators import (boundedness_verdict, compactness_verdict,
 from .symbols import (SymbolExpr, combine, constant, coordinate, evaluate,
                       evaluate_many, gradient, gradient_many, parse_symbol,
                       supnorm_upper)
+
+omega_bounds = rho_from_origin  # omega(z) = rho(0, z) on every metric domain
 
 # names of the verify, probes and report modules, imported on first use
 # so that `import blochkit` does not load them
@@ -59,7 +59,7 @@ __all__ = [
     "NumericalDomainError", "OutsideDomainError", "ParseError", "REGISTRY",
     "ResultRow", "SUITES", "SamplingConfig", "SuiteFailure", "SymbolExpr",
     "UnsupportedDomainError", "UnsupportedMetricError", "UsageError",
-    "VERSION", "backend_name", "ball", "bergman_metric", "beta_estimate",
+    "VERSION", "backend_name", "ball", "beta_estimate",
     "beta_upper_poly", "bloch_constant", "bloch_constant_candidates",
     "bloch_norm_estimate", "boundedness_verdict", "cartan1", "cartan2",
     "cartan3", "cartan4", "combine", "compactness_verdict", "constant",
@@ -70,7 +70,7 @@ __all__ = [
     "little_star_membership_diagnostic", "metric_matrix", "norm_bounds",
     "omega_bounds", "omega_empirical_lower", "operator_report", "parse_domain",
     "parse_symbol", "path_length", "polydisk", "product", "q_value",
-    "q_value_oracle", "q_value_via_metric", "q_values", "registry_table",
+    "q_value_oracle", "q_values", "registry_table",
     "render", "resolved_constant", "rho_from_origin", "run_probe",
     "run_suite", "sample_interior", "sample_near_distinguished_boundary",
     "segment_from_origin", "sigma_estimate", "sigma_upper_poly",

@@ -3,7 +3,8 @@ and norm estimators, extremal growth bounds, and decay diagnostics.
 
 Q_f(z) is the supremum over nonzero directions u of
 |grad f(z) . u| / H_z(u, u*)^(1/2); its closed forms live in the
-geometry table of `metric`.
+geometry table of `metric`, and `q_value_oracle` checks them over random
+directions and the maximizer M^(-1) conj(g) from a metric solve.
 
 A sampled supremum (`_sup_estimates`) is the max of a batched objective
 over stratified samples, raised by golden-section line searches from the
@@ -20,7 +21,8 @@ norm and the boundary weights, each with the certified upper end its
 caller passes. The isometry power ladder reads `_family_sups` directly.
 
 The extremal growth omega and its floors are reads of the geometry
-table: omega is the distance from the origin, the full-class floor is
+table: omega is the distance from the origin (`metric.rho_from_origin`,
+also exported as `blochkit.omega_bounds`), the full-class floor is
 arctanh of the gauge and the *-little floor is `Geometry.growth(little=True)`.
 """
 
@@ -37,8 +39,8 @@ from .domains import (DomainDescriptor, _as_point, _unit_directions,
 from .errors import OutsideDomainError, UsageError
 from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
                         MODE_SAMPLED_LOWER, SamplingConfig, exact)
-from .metric import (RHO_UPPER_PAD, geometry, metric_matrix, rho_from_origin,
-                     _outside, _require_interior, _require_metric)
+from .metric import (RHO_UPPER_PAD, geometry, _outside, _require_interior,
+                     _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
                       gradient, gradient_many, is_constant, jet_family,
                       jet_many)
@@ -61,16 +63,6 @@ def q_value(d: DomainDescriptor, f: SymbolExpr, z) -> float:
     z = _as_point(d, z)
     _require_interior(d, z)
     return float(q_values(d, f, z.reshape(1, -1))[0])
-
-
-def q_value_via_metric(d: DomainDescriptor, f: SymbolExpr, z) -> float:
-    """Same supremum through an explicit solve against the assembled
-    metric matrix; kept as an independent route for cross-checks."""
-    z = _as_point(d, z)
-    g = gradient(f, z)
-    M = metric_matrix(d, z)
-    x = np.linalg.solve(M.T, g)
-    return sqrt(max(float(np.real(np.vdot(g, x))), 0.0))
 
 
 @lru_cache(maxsize=16)
@@ -344,26 +336,17 @@ def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
 # ---------------------------------------------------------------------------
 # extremal growth omega
 
-def omega_empirical_lower(d: DomainDescriptor, z,
-                          cfg: SamplingConfig = SamplingConfig(),
-                          little: bool = False) -> float:
+def omega_empirical_lower(d: DomainDescriptor, z, *, little: bool = False) -> float:
     """Certified lower bound for the extremal growth at z from one test
     function: the logarithmic witness of the largest factor, of Bloch
     norm 1, which reaches arctanh of the gauge. With little=True, the
-    floor `Geometry.growth(little=True)` from the *-little class. `cfg`
-    is accepted and unused."""
+    floor `Geometry.growth(little=True)` from the *-little class."""
     geo = geometry(d)
     z = _as_point(d, z)
     _require_interior(d, z)
     if little:
         return float(geo.growth(z[None], little=True)[0])
     return float(np.arctanh(geo.gauge(z[None]))[0])
-
-
-def omega_bounds(d: DomainDescriptor, z) -> EstimateInterval:
-    """Extremal growth omega(z), exact on every metric domain, where it is
-    the distance rho(0, z) from the origin (see `metric`)."""
-    return rho_from_origin(d, z)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import time
 
 import numpy as np
 
-from .bloch import (_components, beta_upper_poly, omega_bounds,
-                    omega_empirical_lower, q_value)
+from .bloch import (_components, beta_upper_poly, omega_empirical_lower,
+                    q_value)
 from .constants import (bloch_constant, bloch_constant_candidates,
                         has_disk_factor, in_class_D, registry_table,
                         standard_form)
@@ -245,8 +245,8 @@ def _run_beta(rep, d, psi, z, opts):
 
 
 def _run_omega(rep, d, psi, z, opts):
-    rep.add_interval("omega", omega_bounds(d, z), ref="growth:bounds")
-    rep.add("omega0-lower", omega_empirical_lower(d, z, opts["cfg"], little=True),
+    rep.add_interval("omega", rho_from_origin(d, z), ref="growth:bounds")
+    rep.add("omega0-lower", omega_empirical_lower(d, z, little=True),
             mode="sampled-lower", ref="growth:vanishing-class-witness")
 
 

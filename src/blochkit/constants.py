@@ -24,14 +24,11 @@ from .domains import (DomainDescriptor, _row, ball, cartan1, cartan2,
                       polydisk, product)
 from .errors import AmbiguousConstantError
 
-_ASSIGNMENTS = ("citation", "swapped")
 
-
-def bloch_constant(d: DomainDescriptor, assignment: str = "citation") -> float:
-    """Ceiling c with Q_psi <= c * ||psi||_inf for bounded symbols."""
-    if assignment not in _ASSIGNMENTS:
-        raise ValueError(f"assignment must be one of {_ASSIGNMENTS}")
-    return _row(d).ceiling(d.dims, assignment == "swapped")
+def bloch_constant(d: DomainDescriptor) -> float:
+    """Ceiling c with Q_psi <= c * ||psi||_inf for bounded symbols, the
+    exceptional values in citation order (see `bloch_constant_candidates`)."""
+    return _row(d).ceiling(d.dims, False)
 
 
 def bloch_constant_candidates(d: DomainDescriptor) -> tuple[float, float]:

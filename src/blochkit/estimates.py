@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from math import inf, isinf, isnan
-
-import numpy as np
+from dataclasses import dataclass, replace
+from math import isinf, isnan
 
 from .errors import UsageError
 
@@ -48,10 +46,6 @@ class EstimateInterval:
     def value(self) -> float:
         """Representative point: the exact value, or the certified lower end."""
         return self.lower
-
-    def finite_upper(self) -> float:
-        """Upper end when finite, else the lower point estimate."""
-        return self.upper if self.upper < inf else self.lower
 
     def as_dict(self) -> dict:
         """lower, upper (None when infinite) and mode, for JSON reports."""

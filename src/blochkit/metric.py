@@ -1,5 +1,6 @@
-"""Bergman-type metric geometry: metric forms, the invariant gradient
-size Q, growth envelopes, path lengths, and distance-from-origin.
+"""Bergman-type metric geometry: the metric matrix M (`metric_matrix`),
+the invariant gradient size Q, growth envelopes, path lengths, and
+distance-from-origin.
 
 Every per-kind formula sits once in the table `_GEOMETRY`, keyed by the
 metric kinds (disk, ball, polydisk), whose gauges are the domain
@@ -272,44 +273,17 @@ def geometry(d: DomainDescriptor) -> Geometry:
     return _product_geometry(d) if d.factors else _GEOMETRY[d.kind]
 
 
-@dataclass(frozen=True)
-class HermitianMetric:
-    """Metric matrix M at a point; H_z(u, u*) = u^H M u."""
-
-    point: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise UsageError("metric matrix must be square")
-        scale = float(np.max(np.abs(m))) or 1.0
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
-            raise UsageError("metric matrix not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(m))) <= 0.0:
-            raise UsageError("metric matrix not positive definite")
-
-    def form(self, u) -> float:
-        u = np.asarray(u, dtype=np.complex128).reshape(-1)
-        return float(np.real(np.vdot(u, self.matrix @ u)))
-
-
 def _require_interior(d: DomainDescriptor, z: np.ndarray):
     if not contains(d, z):
         raise OutsideDomainError(f"point not interior to {d}")
 
 
 def metric_matrix(d: DomainDescriptor, z) -> np.ndarray:
+    """Metric matrix M at an interior point, H_z(u, u*) = u^H M u."""
     g = geometry(d)
     z = _as_point(d, z)
     _require_interior(d, z)
     return g.matrix(z)
-
-
-def bergman_metric(d: DomainDescriptor, z) -> HermitianMetric:
-    """Validated metric tensor at an interior point."""
-    z = _as_point(d, z)
-    return HermitianMetric(tuple(z.tolist()), metric_matrix(d, z))
 
 
 @dataclass(frozen=True)

@@ -240,8 +240,11 @@ def norm_bounds(d: DomainDescriptor, psi: SymbolExpr,
 
 def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[tuple[Polynomial, float]]:
     """The test functions f of the battery, each with its certified Bloch
-    norm, where that is positive."""
+    norm, where that is positive: the constant 1, the first min(n, 3)
+    coordinates, then random sums up to nfuncs members in all."""
     n = d.ambient_dim
+    if nfuncs < 1 + min(n, 3):
+        raise UsageError(f"nfuncs must be >= {1 + min(n, 3)} on {d}, got {nfuncs}")
     out = [constant(1.0, n)]
     for j in range(min(n, 3)):
         exps = tuple(1 if i == j else 0 for i in range(n))

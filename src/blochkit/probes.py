@@ -59,7 +59,7 @@ def probe_omega_vs_rho(d: DomainDescriptor, cfg: SamplingConfig,
         est = rho_from_origin(d, z)
         rep.results.append(ResultRow(
             name=f"z{i}={_fmt_point(z)}",
-            value=omega_empirical_lower(d, z, cfg),
+            value=omega_empirical_lower(d, z),
             lower=est.lower, upper=est.upper, mode="probe-row",
             ref="open:growth-vs-distance"))
     return rep
@@ -78,8 +78,8 @@ def probe_omega_vs_omega0(d: DomainDescriptor, cfg: SamplingConfig,
     Z = sample_interior(d, npoints, cfg.seed, cfg.shells)
     for i in range(npoints):
         z = Z[i]
-        full = omega_empirical_lower(d, z, cfg)
-        little = omega_empirical_lower(d, z, cfg, little=True)
+        full = omega_empirical_lower(d, z)
+        little = omega_empirical_lower(d, z, little=True)
         rep.results.append(ResultRow(
             name=f"z{i}={_fmt_point(z)}", value=full,
             lower=little, upper=full, mode="probe-row",
@@ -101,7 +101,7 @@ def probe_omega0_blowup(d: DomainDescriptor, cfg: SamplingConfig,
     for eps in eps_ladder:
         # same seed per rung: directions persist along the ladder
         Z = sample_near_distinguished_boundary(d, ndirs, eps, cfg.seed)
-        vals = [omega_empirical_lower(d, z, cfg, little=True) for z in Z]
+        vals = [omega_empirical_lower(d, z, little=True) for z in Z]
         for j in range(ndirs):
             rep.results.append(ResultRow(
                 name=f"eps={eps:g} dir{j}", value=vals[j],

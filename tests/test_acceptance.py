@@ -156,3 +156,47 @@ def test_criterion_12_determinism():
     assert second.returncode == 0, second.stderr[-2000:]
     assert first.stdout == second.stdout
     assert elapsed <= 600.0, f"two runs took {elapsed:.1f}s"
+
+
+def test_suite_seed_keys_never_repeat(monkeypatch):
+    # every draw of every suite claims its own stream: record the spawn
+    # keys of the suites' generators and child seeds over one full run,
+    # with the costly calls replaced by cheap stand-ins
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from blochkit import coordinate, exact, verify
+
+    keys = []
+
+    def recording(fn):
+        def wrapper(seed, key):
+            keys.append(key)
+            return fn(seed, key)
+        return wrapper
+
+    outcome = SimpleNamespace(verdict="", witness={}, crossing_k=None,
+                              points=np.zeros(1), is_singleton=True, bbox=())
+    stubs = {
+        "_rng": recording(verify._rng),
+        "_child_seed": recording(verify._child_seed),
+        "sample_interior": lambda d, n, *a: np.zeros((n, d.ambient_dim), complex),
+        "_random_poly": lambda rng, arity, *a, **k: coordinate(1, arity),
+        "q_value": lambda *a: 0.0,
+        "q_value_oracle": lambda *a, **k: 0.0,
+        "path_length": lambda *a: 0.0,
+        "_components": lambda d, asks, cfg: [{"beta": exact(0.0)} for _ in asks],
+        "_opnorms": lambda *a, **k: [],
+        "spectrum_cloud": lambda *a: outcome,
+        "grid_coverage": lambda *a, **k: (None, 0),
+        "compactness_verdict": lambda *a: outcome,
+        "isometry_verdict": lambda *a: outcome,
+    }
+    for name, stub in stubs.items():
+        monkeypatch.setattr(verify, name, stub)
+    for suite in verify.SUITES.values():
+        suite(42)
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    assert len(keys) > 70
+    assert not repeated, f"spawn keys used twice: {repeated}"

@@ -22,7 +22,6 @@ from blochkit import (
     product,
     q_value,
     q_value_oracle,
-    q_value_via_metric,
     q_values,
     rho_from_origin,
     sample_interior,
@@ -94,8 +93,10 @@ def test_q_values_batch_matches_scalar():
 
 
 def test_q_via_metric_agrees_with_closed_form():
+    # with one random direction the oracle's max is reached at the
+    # maximizer M^(-1) conj(g) from its solve against the metric matrix
     rng = np.random.default_rng(1)
-    for d in (disk(), ball(2), polydisk(3)):
+    for d in (disk(), ball(2), polydisk(3), product(ball(2), disk())):
         f = mkpoly(
             d.ambient_dim,
             {
@@ -106,7 +107,7 @@ def test_q_via_metric_agrees_with_closed_form():
             },
         )
         for z in sample_interior(d, 10, seed=2):
-            assert q_value_via_metric(d, f, z) == pytest.approx(
+            assert q_value_oracle(d, f, z, ndirs=1) == pytest.approx(
                 q_value(d, f, z), rel=1e-9, abs=1e-12
             )
 
@@ -464,20 +465,24 @@ def test_summed_witness_reaches_the_closed_form(d, z, value):
 
 
 def test_omega_empirical_lower_center_and_witnesses(fast_cfg):
-    assert omega_empirical_lower(disk(), 0.0, fast_cfg) == pytest.approx(0.0, abs=1e-12)
+    assert omega_empirical_lower(disk(), 0.0) == pytest.approx(0.0, abs=1e-12)
     # coordinate witness on the polydisk is exact
-    v = omega_empirical_lower(polydisk(2), (0.5, 0.3), fast_cfg)
+    v = omega_empirical_lower(polydisk(2), (0.5, 0.3))
     assert v >= ATANH_HALF - 1e-12
     assert v <= math.atanh(0.5) + math.atanh(0.3) + 1e-9
     # ball witness reproduces the exact value
-    vb = omega_empirical_lower(ball(2), (0.3, 0.4), fast_cfg)
+    vb = omega_empirical_lower(ball(2), (0.3, 0.4))
     assert vb == pytest.approx(ATANH_HALF, rel=1e-6)
+    # a config passed where the sampling config used to go would bind
+    # to `little`; it is refused instead
+    with pytest.raises(TypeError):
+        omega_empirical_lower(ball(2), (0.3, 0.4), fast_cfg)
 
 
-def test_omega_little_variant_at_most_full(fast_cfg):
+def test_omega_little_variant_at_most_full():
     for z in ((0.3, 0.4), (0.1, 0.7)):
-        full = omega_empirical_lower(ball(2), z, fast_cfg)
-        little = omega_empirical_lower(ball(2), z, fast_cfg, little=True)
+        full = omega_empirical_lower(ball(2), z)
+        little = omega_empirical_lower(ball(2), z, little=True)
         assert little <= full + 1e-12
         assert little >= 0.9 * full
 

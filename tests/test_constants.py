@@ -67,11 +67,11 @@ def test_ball_matches_type_one_column():
 
 
 def test_swapped_assignment_exchanges_exceptional_values():
-    assert bloch_constant(exceptional16(), "swapped") == pytest.approx(1.0 / 3.0)
-    assert bloch_constant(exceptional27(), "swapped") == pytest.approx(1.0 / math.sqrt(6.0))
+    assert bloch_constant_candidates(exceptional16())[1] == pytest.approx(1.0 / 3.0)
+    assert bloch_constant_candidates(exceptional27())[1] == pytest.approx(1.0 / math.sqrt(6.0))
     # everything else is unaffected by the assignment choice
     for d in (disk(), ball(4), cartan2(3), cartan4(5)):
-        assert bloch_constant(d) == bloch_constant(d, "swapped")
+        assert bloch_constant_candidates(d) == (bloch_constant(d),) * 2
 
 
 def test_candidates_pair():
@@ -103,8 +103,7 @@ def test_product_constant_is_max_of_factors():
 
 def test_constants_in_unit_interval():
     for d in REGISTRY:
-        for assignment in ("citation", "swapped"):
-            c = bloch_constant(d, assignment)
+        for c in bloch_constant_candidates(d):
             assert 0.0 < c <= 1.0
 
 

@@ -8,7 +8,6 @@ from scipy import integrate
 
 from blochkit import (
     ball,
-    bergman_metric,
     cartan1,
     disk,
     metric_matrix,
@@ -24,7 +23,6 @@ from blochkit.errors import OutsideDomainError, UnsupportedMetricError, UsageErr
 from blochkit.metric import (
     _GEOMETRY,
     QUAD_ABS_TOL,
-    HermitianMetric,
     PiecewisePath,
     _outside,
     geometry,
@@ -97,20 +95,6 @@ def test_domain_table_covers_the_kinds_and_geometry_the_gauges():
     # one row per kind but the product, which composes its factors' rows
     assert set(_ROWS) == set(Kind) - {Kind.PRODUCT}
     assert set(_GEOMETRY) == {k for k, row in _ROWS.items() if row.gauge is not None}
-
-
-def test_bergman_metric_object():
-    m = bergman_metric(ball(2), (0.1, 0.2))
-    u = np.array([1.0, 1j])
-    assert m.form(u) > 0
-    np.testing.assert_allclose(m.matrix, metric_matrix(ball(2), (0.1, 0.2)), atol=1e-14)
-
-
-def test_hermitian_metric_validation():
-    with pytest.raises(UsageError):
-        HermitianMetric(np.zeros(2, dtype=complex), np.array([[1.0, 0.5], [0.2, 1.0]]))
-    with pytest.raises(UsageError):
-        HermitianMetric(np.zeros(2, dtype=complex), np.diag([1.0, -0.5]))
 
 
 def test_metric_unsupported_domain():

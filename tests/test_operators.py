@@ -206,6 +206,18 @@ def test_empirical_opnorm_within_sandwich(fast_cfg):
     assert low <= nb.upper + 1e-9
 
 
+@pytest.mark.parametrize("spec,least", [("disk", 2), ("ball:2", 3), ("ball:5", 4)])
+def test_battery_refuses_fewer_than_its_fixed_members(spec, least):
+    # the constant 1 and min(n, 3) coordinates are always in the battery
+    d = parse_domain(spec)
+    assert len(_battery(d, least, 42)) == least
+    for nfuncs in (-5, 0, least - 1):
+        with pytest.raises(UsageError, match="nfuncs"):
+            _battery(d, nfuncs, 42)
+        with pytest.raises(UsageError, match="nfuncs"):
+            empirical_opnorm_lower(d, coordinate(1, d.ambient_dim), nfuncs=nfuncs)
+
+
 @pytest.mark.parametrize("spec,psi", [
     ("ball:2", mkpoly(2, {(1, 0): 0.5, (1, 1): 0.3 - 0.2j, (0, 3): 0.4j})),
     ("polydisk:2", mkpoly(2, {(0, 0): 0.2, (2, 1): -0.7, (0, 1): 0.1 + 0.5j})),
