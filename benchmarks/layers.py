@@ -34,7 +34,14 @@ round:
   default 20 000 samples, and cli.rho: one `blochkit rho` call at a point
   of ball:2, output captured;
 - the `growth-lemma`, `isometry` and `norm-sandwich` verify suites at
-  seed 42.
+  seed 42;
+- cold.spectrum_s and cold.spectrum_peak_mb: the wall time and the peak
+  resident memory of a fresh `python -m blochkit spectrum --domain ball:3
+  --samples 50000` process on the 10-term scan symbol, import included.
+  The peak is each child's own, from `os.wait4`, taken before this
+  process imports numpy. With --against, the two checkouts' children
+  take turns, and each imports its own checkout's src/blochkit only, so
+  the two packages share no heap in these rows.
 
 Other sampled sups use 1000 samples (1024 for the ladder), 2 restarts and
 20 golden-section steps, as the refine workload of perfbench does. BLAS runs
@@ -70,6 +77,7 @@ import os
 import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -193,6 +201,29 @@ def layers(bk, verify, cli) -> dict:
     return out
 
 
+def cold_spectrum(roots) -> list[dict]:
+    """Each checkout's best wall time and least peak resident memory (MB)
+    of ROUNDS fresh `blochkit spectrum` processes, the checkouts taking
+    turns, in the other order every other round."""
+    argv = [sys.executable, "-m", "blochkit", "spectrum", "--domain", "ball:3",
+            "--symbol", SCAN_SYMBOL, "--samples", "50000"]
+    times, peaks = [[] for _ in roots], [[] for _ in roots]
+    for r in range(ROUNDS):
+        order = list(enumerate(roots))
+        for k, root in (order if r % 2 == 0 else order[::-1]):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"))
+            start = time.perf_counter()
+            child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(child.pid, 0)
+            times[k].append(time.perf_counter() - start)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            if child.returncode != 0:
+                raise SystemExit(f"blochkit spectrum from {root} exited {child.returncode}")
+            peaks[k].append(usage.ru_maxrss / 1024.0)  # ru_maxrss is in KiB
+    return [{"cold.spectrum_s": min(t), "cold.spectrum_peak_mb": min(p)}
+            for t, p in zip(times, peaks)]
+
+
 def measure(packages) -> list[dict]:
     """Each package's best time of every layer, the packages timed in
     turn round by round."""
@@ -243,15 +274,18 @@ def main(argv=None) -> int:
     p.add_argument("--against-label", default="against", help="key of --against in --out")
     args = p.parse_args(argv)
     root = args.root.resolve()
+    against = None if args.against is None else args.against.resolve()
+    if against is not None and args.against_label == args.label:
+        raise SystemExit("--against-label must differ from --label")
+    # first, while this process is small: on Linux a child's peak from
+    # wait4 is at least the resident set of the process it forked from
+    colds = cold_spectrum([root] if against is None else [root, against])
     import numpy
     import scipy
 
     packages = [load(root, "blochkit")]
     bk = packages[0][0]
-    if args.against is not None:
-        against = args.against.resolve()
-        if args.against_label == args.label:
-            raise SystemExit("--against-label must differ from --label")
+    if against is not None:
         copy = Path(tempfile.mkdtemp(prefix="layers-against-"))
         shutil.copytree(against / "src" / "blochkit", copy / "src" / AGAINST_PACKAGE,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -268,6 +302,8 @@ def main(argv=None) -> int:
     finally:
         if args.against is not None:
             shutil.rmtree(copy)
+    for best, cold in zip(bests, colds):
+        best.update(cold)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if data.get("environment", environment) != environment:
         raise SystemExit(f"{args.out} was written under another environment")

@@ -21,7 +21,7 @@ Key facts wired into the verdicts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isinf
+from math import inf, isinf, nextafter
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .bloch import (AGAINST, _components, _family_sups, _shell_maxima,
                     beta_upper_poly, little_star_membership_diagnostic)
 from .constants import in_class_D, resolved_constant
 from .domains import DomainDescriptor, Kind, sample_interior
-from .errors import UsageError
+from .errors import NumericalDomainError, UsageError
 from .estimates import EstimateInterval, SamplingConfig
 from .metric import _require_metric, geometry
 from .symbols import (DEGREE_CAP, Polynomial, SymbolExpr, combine, constant,
@@ -309,23 +309,31 @@ class SpectrumCloud:
                 "is_singleton": self.is_singleton}
 
 
+# Shewchuk's bound on the rounding error of (ax - cx)(by - cy) -
+# (ay - cy)(bx - cx) evaluated in binary64 (Adaptive precision
+# floating-point arithmetic and fast robust geometric predicates, DCG 18,
+# 1997), and an absolute floor for products that may have underflowed
+_CCW_BOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_UNDERFLOW = 2.0 ** -1000
+
+
 def _hull_candidates(xy: np.ndarray) -> np.ndarray:
     """Indices, in order, of the points of xy (rows x, y) that are not
     strictly inside the octagon of its 8 extreme points, the least and
     greatest x, y, x + y and x - y (Akl and Toussaint, A fast convex hull
-    algorithm, IPL 7, 1978). The points inside cannot be hull vertices,
-    and qhull gives the same area bits and the same vertices in the same
-    order without them: its tolerances and its initial simplex come from
-    the extremes, which stay. Among exact duplicates it may name another
-    twin. A point is dropped only when it is inside every edge by a
-    margin far above the rounding of the products, and nothing is
-    dropped when the octagon is degenerate."""
+    algorithm, IPL 7, 1978). The octagon's corners are points of xy, so
+    a point strictly inside it is inside the hull and no vertex of it:
+    `_hull` of the candidates has the vertices, and so the area, of
+    `_hull` of xy. Exact duplicates are kept or dropped together. A
+    point is dropped only when it is inside every edge by a margin far
+    above the rounding of the products, underflow included, and nothing
+    is dropped when the octagon is degenerate."""
     x, y = xy[:, 0], xy[:, 1]
     # the extreme points in the directions 0, 45, ..., 315 degrees: counterclockwise
     corners = xy[[np.argmax(x), np.argmax(x + y), np.argmax(y), np.argmin(x - y),
                   np.argmin(x), np.argmin(x + y), np.argmin(y), np.argmax(x - y)]]
     width = float(np.ptp(corners, axis=0).max())
-    margin = 1e-9 * width * (width + float(np.abs(corners).max()))
+    margin = 1e-9 * width * (width + float(np.abs(corners).max())) + _UNDERFLOW
     u, v = (corners[1:-1] - corners[0]).T, (corners[2:] - corners[0]).T
     if not (u[0] * v[1] - u[1] * v[0]).sum() / 2.0 > margin:
         return np.arange(len(xy))
@@ -338,27 +346,132 @@ def _hull_candidates(xy: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~inside)
 
 
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers n_k and one power of two s with values[k] = n_k / s
+    exactly, for finite floats."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(q for _, q in ratios)  # every q is a power of two
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+def _turns(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """The exact sign of the turn a -> b -> c for arrays of coordinates:
+    1 left, -1 right, 0 straight. The float sign stands when it clears
+    the rounding bound, and the rest are decided on the floats' exact
+    values."""
+    dl = (ax - cx) * (by - cy)
+    dr = (ay - cy) * (bx - cx)
+    det = dl - dr
+    sign = np.sign(det)
+    unsure = np.flatnonzero(~(np.abs(det) > _CCW_BOUND * (np.abs(dl) + np.abs(dr))
+                              + _UNDERFLOW))
+    if unsure.size:
+        rows = np.column_stack([np.broadcast_to(v, det.shape)[unsure]
+                                for v in (ax, ay, bx, by, cx, cy)])
+        a, b, c = rows[:, 0:2].T, rows[:, 2:4].T, rows[:, 4:6].T
+        # a zero factor in each product: the exact value is 0 as well
+        hard = ~(((a[0] == c[0]) | (b[1] == c[1])) & ((a[1] == c[1]) | (b[0] == c[0])))
+        for k, row in zip(unsure[hard].tolist(), rows[hard].tolist()):
+            (px, py, qx, qy, rx, ry), _ = _dyadic(row)
+            exact = (px - rx) * (qy - ry) - (py - ry) * (qx - rx)
+            sign[k] = (exact > 0) - (exact < 0)
+    return sign
+
+
+def _hull(xy: np.ndarray) -> tuple[np.ndarray, float]:
+    """(indices of the vertices, area) of the convex hull of the points
+    xy (rows x, y), exactly on their float values: the vertices are the
+    points where the boundary turns, counterclockwise from the least
+    (x, y), the first of exact duplicates, and the area is the polygon's
+    rounded down. With 1 or 2 vertices the area is 0.0.
+
+    Andrew's monotone chain (IPL 9, 1979) in whole-array passes. The
+    points below the chord from the least to the greatest (x, y), in
+    increasing order, and those above it, in decreasing order, make one
+    ring through the two ends. A point of the ring that fails to turn
+    left between a point before it and one after it is no vertex, so
+    each pass drops all of them at once: first against the points
+    farthest from the chord in each run of 16, then against the ring
+    neighbours until every turn is left."""
+    x, y = xy[:, 0], xy[:, 1]
+    order = np.argsort(x)
+    if not (np.diff(x[order]) > 0).all():
+        # ties in x: by y, and exact duplicates by index, keeping the first
+        order = np.lexsort((y, x))
+        xs, ys = x[order], y[order]
+        order = order[np.concatenate([[True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])])]
+    if len(order) < 3:
+        return order, 0.0
+    first, last, inner = order[0], order[-1], order[1:-1]
+    below = _turns(x[first], y[first], x[inner], y[inner], x[last], y[last])
+    lower, upper = inner[below > 0], inner[below < 0]
+    ring = np.concatenate([[first], lower, [last], upper[::-1], [first]])
+    # +1 below the chord, -1 above it, 0 at the two ends, which stay
+    side = np.repeat(np.int8([0, 1, 0, -1, 0]), [1, len(lower), 1, len(upper), 1])
+    normal = (y[last] - y[first], x[first] - x[last])
+    rx, ry = x[ring], y[ring]
+    group = 16
+    while True:
+        mid = np.flatnonzero(side)
+        if group > 1:
+            # any points of the ring are valid pivots; the deepest drop the most
+            depth = np.full(-(-len(ring) // group) * group, -np.inf)
+            depth[:len(ring)] = side * (normal[0] * (rx - x[first]) + normal[1] * (ry - y[first]))
+            pivot = side == 0
+            pivot[np.arange(0, len(depth), group) + depth.reshape(-1, group).argmax(axis=1)] = True
+            pivots = np.flatnonzero(pivot)
+            before = pivots[np.searchsorted(pivots, mid) - 1]
+            after = pivots[np.searchsorted(pivots, mid, "right")]
+        else:
+            before, after = mid - 1, mid + 1
+        left = _turns(rx[before], ry[before], rx[mid], ry[mid], rx[after], ry[after]) > 0
+        if group == 1 and left.all():
+            break
+        group = 1
+        keep = side == 0
+        keep[mid] = left
+        ring, side, rx, ry = ring[keep], side[keep], rx[keep], ry[keep]
+    verts = ring[:-1]
+    if len(verts) < 3:
+        return verts, 0.0
+    ints, scale = _dyadic(rx[:-1].tolist() + ry[:-1].tolist())
+    vx, vy = ints[:len(verts)], ints[len(verts):]
+    # twice the area, times scale**2, by the shoelace formula
+    twice = sum(vx[k - 1] * vy[k] - vx[k] * vy[k - 1] for k in range(len(verts)))
+    den = 2 * scale * scale
+    try:
+        area = twice / den  # correctly rounded
+    except OverflowError:  # then the largest float is the area rounded down
+        return verts, float(np.finfo(float).max)
+    p, q = area.as_integer_ratio()
+    return verts, (nextafter(area, 0.0) if p * den > twice * q else area)
+
+
 def spectrum_cloud(d: DomainDescriptor, psi: SymbolExpr,
                    cfg: SamplingConfig = SamplingConfig()) -> SpectrumCloud:
+    """The values of psi at the `cfg.samples` interior points that
+    `sample_interior` draws, as an estimate of the spectrum of M_psi,
+    the closure of psi's range. `bbox` is the values' bounding box, and
+    `is_singleton` holds when it is at most 1e-12 wide. `hull_vertices`
+    are the values where the boundary of their convex hull turns,
+    counterclockwise from the least (real, imag), and `hull_area` is the
+    exact area of that polygon rounded down: a lower bound for the area
+    of the hull of the spectrum. With fewer than 3 vertices the area is
+    0.0 and the vertices are the cloud's 1 or 2 extreme values. Values
+    that overflow raise `NumericalDomainError`."""
     _require_metric(d)
     Z = sample_interior(d, cfg.samples, cfg.seed, cfg.shells)
     vals = evaluate_many(psi, Z)
     xy = np.column_stack([vals.real, vals.imag])
+    if not np.isfinite(xy).all():
+        raise NumericalDomainError("the symbol's values overflow at sampled points")
     bbox = (float(xy[:, 0].min()), float(xy[:, 0].max()),
             float(xy[:, 1].min()), float(xy[:, 1].max()))
     spread = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
     singleton = spread <= 1e-12
-    # slow to import: keep it out of `import blochkit`
-    from scipy.spatial import ConvexHull, QhullError
     keep = _hull_candidates(xy)
-    try:
-        hull = ConvexHull(xy[keep])
-        area = float(hull.volume)  # 2-d: volume is the area
-        verts = vals[keep[hull.vertices]]
-    except QhullError:
-        area = 0.0
-        verts = np.array([vals[0]]) if singleton else np.unique(vals)
-    return SpectrumCloud(vals, bbox, area, verts, singleton)
+    verts, area = _hull(xy[keep])
+    return SpectrumCloud(vals, bbox, area, vals[keep[verts]], singleton)
 
 
 def grid_coverage(points: np.ndarray, radius: float = 0.95,

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -37,7 +38,7 @@ from blochkit import (
     supnorm_estimate,
 )
 from blochkit import _kernels, bloch
-from blochkit.errors import AmbiguousConstantError, UsageError
+from blochkit.errors import AmbiguousConstantError, NumericalDomainError, UsageError
 from blochkit.operators import (
     _RADIAL_PEAK,
     BOUNDED,
@@ -438,16 +439,67 @@ def test_spectrum_points_are_range_values():
         assert np.abs(cloud.points - expected).min() <= 1e-12
 
 
-def _plain_hull(xy):
-    """(area bits, vertex coordinates in order) of qhull's hull of xy,
-    None when qhull rejects the cloud."""
+def test_spectrum_collinear_cloud_keeps_its_two_ends():
+    # every real part of 1e20 + z rounds to 1e20, so the cloud is a segment
+    cloud = spectrum_cloud(disk(), mkpoly(1, {(0,): 1e20, (1,): 1.0}),
+                           SamplingConfig(samples=50000, seed=1))
+    ims = cloud.points.imag
+    assert not cloud.is_singleton and np.all(cloud.points.real == 1e20)
+    assert cloud.hull_area == 0.0
+    assert cloud.hull_vertices.tolist() == [complex(1e20, ims.min()), complex(1e20, ims.max())]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
+def test_spectrum_at_the_end_of_the_float_range():
+    cfg = SamplingConfig(samples=2000)
+    with pytest.raises(NumericalDomainError):
+        spectrum_cloud(disk(), parse_symbol("1e308 + 1e308*z1", 1), cfg)
+    # finite values whose hull area is not
+    cloud = spectrum_cloud(disk(), parse_symbol("1e200*z1", 1), cfg)
+    assert cloud.hull_area == np.finfo(float).max and len(cloud.hull_vertices) > 3
+
+
+def _qhull(xy):
+    """(vertex rows counterclockwise from the least (x, y), area) of
+    qhull's hull of xy, None when qhull rejects the cloud."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(xy)
     except QhullError:
         return None
-    return np.float64(hull.volume).tobytes(), xy[hull.vertices].tobytes()
+    rows = xy[hull.vertices]
+    start = min(range(len(rows)), key=lambda k: tuple(rows[k]))
+    return np.roll(rows, -start, axis=0), hull.volume
+
+
+def _floor_area(rows):
+    """The shoelace area of the polygon through rows, counterclockwise,
+    in Fractions, rounded down to a float."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in rows.tolist()]
+    exact = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])) / 2
+    area = float(exact)
+    return math.nextafter(area, 0.0) if Fraction(area) > exact else area
+
+
+def _exact_hull(xy):
+    """Andrew's monotone chain in Fractions, one point at a time: the
+    vertex rows counterclockwise from the least (x, y)."""
+    pts = sorted(set(map(tuple, xy.tolist())))
+
+    def turn(o, a, b):
+        (ox, oy), (ax, ay), (bx, by) = [(Fraction(u), Fraction(v)) for u, v in (o, a, b)]
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return pts if len(pts) < 3 else chain(pts)[:-1] + chain(pts[::-1])[:-1]
 
 
 def _clouds(rng):
@@ -478,31 +530,92 @@ def _clouds(rng):
     yield np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
 
 
-def test_hull_prefilter_keeps_qhulls_hull_bitwise():
-    # the same area bits and the same vertices in the same order; among
-    # exact duplicates qhull may name another twin, so vertices compare by
-    # coordinates
-    from blochkit.operators import _hull_candidates
+def _edge_clouds():
+    """Clouds whose hulls a float orientation test can get wrong."""
+    rng = np.random.default_rng(5)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    # exact duplicates of hull vertices; (0, 0) only after the inner points
+    yield np.concatenate([square[1:], rng.random((30, 2)), square[[2, 0, 2, 0]]])
+    # rows within rounding of the line y = 0.1 x + 0.3 and mostly off it
+    t = np.linspace(0.0, 1.0, 40)
+    line = np.column_stack([t, 0.1 * t + 0.3])
+    yield line
+    yield np.concatenate([line, [[0.5, -1.0]], rng.random((30, 2)) * [1.0, 0.3] - [0.0, 0.5]])
+    k = np.arange(1.0, 30.0)
+    yield np.column_stack([0.1 * k, 0.3 * k])
+    yield np.column_stack([np.concatenate([0.1 * k, [1.0]]), np.concatenate([0.7 * k, [0.0]])])
+    yield np.full((7, 2), 0.3)
+    yield np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2]])
+    # small enough that the products underflow, with vertical edges, and
+    # then that they underflow to zero
+    for scale in (1e-160, 1e-170):
+        yield np.concatenate([line, [[0.0, -1.0], [1.0, -1.0]]]) * scale
 
-    for xy in _clouds(np.random.default_rng(17)):
+
+def test_hull_prefilter_keeps_qhulls_hull_bitwise():
+    # the candidates' hull has the same vertices, in the same order and
+    # the same twin among exact duplicates, and the same area bits
+    from blochkit.operators import _hull, _hull_candidates
+
+    for xy in (*_clouds(np.random.default_rng(17)), *_edge_clouds()):
         keep = _hull_candidates(xy)
         assert np.all(np.diff(keep) > 0)
-        assert _plain_hull(xy[keep]) == _plain_hull(xy)
+        verts, area = _hull(xy[keep])
+        whole, whole_area = _hull(xy)
+        assert np.array_equal(keep[verts], whole)
+        assert np.float64(area).tobytes() == np.float64(whole_area).tobytes()
+
+
+def test_hull_is_exact_on_near_degenerate_clouds():
+    from blochkit.operators import _hull
+
+    for xy in _edge_clouds():
+        verts, area = _hull(xy)
+        assert xy[verts].tolist() == [list(p) for p in _exact_hull(xy)]
+        # the first of exact duplicates
+        assert all((xy[:k] != xy[k]).any(axis=1).all() for k in verts)
+        assert area == (_floor_area(xy[verts]) if len(verts) > 2 else 0.0)
+
+
+# ten terms of degree up to five in three variables, as in the scan workload
+SCAN_LIKE = ("(0.2-0.1i) + (0.5+0.3i)*z1 + (-0.4+0.2i)*z2 + (0.3-0.6i)*z3 + (0.1+0.7i)*z1*z2"
+             " + (-0.5-0.2i)*z2*z3 + (0.6+0.1i)*z1^2 + (-0.2+0.4i)*z3^2 + (0.3+0.3i)*z1*z2*z3"
+             " + (0.4-0.5i)*z2^3",
+             "(0.1+0.4i)*z1 + (0.3-0.2i)*z2^2 + (-0.4-0.1i)*z3^2 + (0.2+0.2i)*z1*z3"
+             " + (-0.3+0.5i)*z1^2*z2 + (0.5+0.1i)*z2^3*z3 + (0.1-0.3i)*z1*z2^2*z3"
+             " + (0.4+0.2i)*z3^4 + (-0.2-0.4i)*z1^5 + (0.3+0.1i)*z1*z2^2*z3^2")
 
 
 def test_spectrum_cloud_hull_matches_plain_qhull():
-    from scipy.spatial import ConvexHull
+    # the vertices are qhull's, counterclockwise from the least (x, y);
+    # the area is theirs exactly, rounded down, where qhull's can be off
+    # by a few ulp either way
+    from blochkit.operators import _hull
 
-    from blochkit import SamplingConfig, evaluate_many
-
-    cfg = SamplingConfig(samples=20000, seed=11, refine_restarts=0)
-    psi = parse_symbol("(0.5+0.3i)*z1 + (-0.4+0.2i)*z2^2 + (0.3+0.3i)*z1*z2*z3", 3)
-    for d in (ball(3), polydisk(3)):
-        cloud = spectrum_cloud(d, psi, cfg)
-        vals = evaluate_many(psi, sample_interior(d, cfg.samples, cfg.seed, cfg.shells))
-        hull = ConvexHull(np.column_stack([vals.real, vals.imag]))
-        assert np.float64(cloud.hull_area).tobytes() == np.float64(hull.volume).tobytes()
-        assert cloud.hull_vertices.tobytes() == vals[hull.vertices].tobytes()
+    domains = (ball(3), polydisk(3), parse_domain("product(ball:2,disk)"))
+    cases = [(SamplingConfig(samples=20000, seed=11, refine_restarts=0),
+              "(0.5+0.3i)*z1 + (-0.4+0.2i)*z2^2 + (0.3+0.3i)*z1*z2*z3", domains[:2])]
+    cases += [(SamplingConfig(samples=50000, seed=12, refine_restarts=0), text, domains)
+              for text in SCAN_LIKE]
+    hulls = []
+    for cfg, text, ds in cases:
+        psi = parse_symbol(text, 3)
+        for d in ds:
+            cloud = spectrum_cloud(d, psi, cfg)
+            rows = np.column_stack([cloud.hull_vertices.real, cloud.hull_vertices.imag])
+            hulls.append((np.column_stack([cloud.points.real, cloud.points.imag]),
+                          rows, cloud.hull_area))
+    for xy in _clouds(np.random.default_rng(17)):
+        verts, area = _hull(xy)
+        hulls.append((xy, xy[verts], area))
+    for xy, rows, area in hulls:
+        plain = _qhull(xy)
+        if plain is None:  # the cloud is a point or a segment
+            assert len(rows) < 3 and area == 0.0
+            continue
+        assert np.array_equal(rows, plain[0])
+        assert area == _floor_area(rows)
+        assert abs(area - plain[1]) <= 1e-12 * area
 
 
 def test_grid_coverage_synthetic():
