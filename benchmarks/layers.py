@@ -46,12 +46,13 @@ round:
 Other sampled sups use 1000 samples (1024 for the ladder), 2 restarts and
 20 golden-section steps, as the refine workload of perfbench does. BLAS runs
 on one thread. Each invocation's bests are merged into the JSON file at
---out under --label, next to an environment block (CPU count, Python,
-numpy and scipy versions, kernel backend). Each label also records its
-code digest, the line count of src/blochkit/*.py and the number of names
-in `blochkit.__all__`. Measuring the same code under the same label again
-appends the invocation, and the label reports the median and quartiles of
-the per-invocation bests.
+--out under --label, next to an environment block (CPU count, Python, the
+numpy version, and the scipy version when scipy is installed: the package
+does not need it). Each label also records its code digest, the line
+count of src/blochkit/*.py and the number of names in `blochkit.__all__`.
+Measuring the same code under the same label again appends the
+invocation, and the label reports the median and quartiles of the
+per-invocation bests.
 
 A process can run in a faster or slower speed mode than the next. With
 --against, the other checkout's src/blochkit is copied into a temporary
@@ -281,7 +282,6 @@ def main(argv=None) -> int:
     # wait4 is at least the resident set of the process it forked from
     colds = cold_spectrum([root] if against is None else [root, against])
     import numpy
-    import scipy
 
     packages = [load(root, "blochkit")]
     bk = packages[0][0]
@@ -291,12 +291,14 @@ def main(argv=None) -> int:
                         ignore=shutil.ignore_patterns("__pycache__"))
         packages.append(load(copy, AGAINST_PACKAGE))
     environment = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                   "numpy": numpy.__version__, "scipy": scipy.__version__,
-                   "backend": bk.backend_name(), "blas_threads": 1,
+                   "numpy": numpy.__version__, "blas_threads": 1,
                    "rounds": {"layers": ROUNDS, "norm_bounds": 2 * ROUNDS,
                               "kernels": KERNEL_ROUNDS, "suites": SUITE_ROUNDS,
                               "statistic": "best per invocation; median and "
                                            "quartiles across invocations"}}
+    with contextlib.suppress(ImportError):
+        import scipy
+        environment["scipy"] = scipy.__version__
     try:
         bests = measure(packages)
     finally:

@@ -34,11 +34,12 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .domains import (DomainDescriptor, _as_point, _unit_directions,
-                      sample_interior, sample_near_distinguished_boundary)
+from .domains import (DomainDescriptor, _as_point, _stream, _stream_seed,
+                      _unit_directions, sample_interior,
+                      sample_near_distinguished_boundary)
 from .errors import OutsideDomainError, UsageError
 from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
-                        MODE_SAMPLED_LOWER, SamplingConfig, exact)
+                        MODE_SAMPLED_LOWER, SamplingConfig, _check_ladder, exact)
 from .metric import (RHO_UPPER_PAD, geometry, _outside, _require_interior,
                      _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
@@ -68,7 +69,7 @@ def q_value(d: DomainDescriptor, f: SymbolExpr, z) -> float:
 @lru_cache(maxsize=16)
 def _base_directions(ndirs: int, n: int) -> np.ndarray:
     """Unit directions in C^n drawn once per (ndirs, n) from seed 0, read-only."""
-    u = _unit_directions(np.random.default_rng(0), ndirs, n)
+    u = _unit_directions(_stream(0), ndirs, n)
     u.flags.writeable = False
     return u
 
@@ -87,8 +88,9 @@ def q_value_oracle(d: DomainDescriptor, f: SymbolExpr, z, ndirs: int = 4096,
         return 0.0
     geo, n = geometry(d), len(z)
     # the cached set turned by a seeded Haar unitary: Q of a complex
-    # Gaussian's QR, its columns times the phases of R's diagonal
-    rng = np.random.default_rng(seed)
+    # Gaussian's QR, its columns times the phases of R's diagonal; key 1
+    # keeps it off the set's own stream at seed 0
+    rng = _stream(seed, 1)
     Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     phases = np.diagonal(R) / np.abs(np.diagonal(R))
     ustar = np.linalg.solve(geo.matrix(z), np.conj(g))  # nonzero, as g is
@@ -323,9 +325,7 @@ def lipschitz_beta_estimate(d: DomainDescriptor, f: SymbolExpr,
     |f(z) - f(w)| / rho(z, w) over sampled pairs."""
     _require_metric(d)
     A = sample_interior(d, npairs, seed)
-    b_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(7,))
-                 .generate_state(1)[0])
-    B = sample_interior(d, npairs, b_seed)
+    B = sample_interior(d, npairs, _stream_seed(seed, 7))
     gap = np.abs(evaluate_many(f, A) - evaluate_many(f, B))
     # the padded closed-form distance is an upper distance, so each
     # quotient is a lower bound
@@ -357,7 +357,7 @@ def _shell_maxima(d: DomainDescriptor, f: SymbolExpr, eps, cfg: SamplingConfig,
     """Max of Q_f, times weight(Z) when given, over one
     `sample_near_distinguished_boundary` draw per eps. Returns the draw
     size, the maxima, and whether they never increase (to 1e-9 relative)."""
-    count = max(64, cfg.samples // max(1, len(eps)))
+    count = max(64, cfg.samples // len(eps))
     maxima = []
     for e in eps:
         Z = sample_near_distinguished_boundary(d, count, e, cfg.seed)
@@ -378,10 +378,9 @@ def little_star_membership_diagnostic(
     the initial one (identically-zero profiles count as consistent).
     """
     _require_metric(d)
-    count, maxima, falling = _shell_maxima(d, f, eps_ladder, cfg)
-    profile = DecayProfile(tuple(eps_ladder), maxima, count)
-    if max(maxima) <= 1e-15:
-        return profile, CONSISTENT
-    if falling and maxima[-1] < 0.1 * maxima[0]:
+    eps = _check_ladder(eps_ladder)
+    count, maxima, falling = _shell_maxima(d, f, eps, cfg)
+    profile = DecayProfile(eps, maxima, count)
+    if max(maxima) <= 1e-15 or (falling and maxima[-1] < 0.1 * maxima[0]):
         return profile, CONSISTENT
     return profile, AGAINST

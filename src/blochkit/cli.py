@@ -34,8 +34,7 @@ from .errors import (DimensionMismatch, NumericalDomainError, ParseError,
                      SuiteFailure, UsageError)
 from .estimates import DEFAULT_EPS_LADDER, SamplingConfig
 from .metric import rho_from_origin
-from .operators import (DEFAULT_BOUNDARY_EPS, _opnorms, _sandwich,
-                        _sandwich_parts, boundedness_verdict,
+from .operators import (_opnorms, _sandwich, _sandwich_parts, boundedness_verdict,
                         compactness_verdict, isometry_verdict, spectrum_cloud)
 from .probes import PROBES, run_probe
 from .report import _RENDERERS, AnalysisReport, render, timings_enabled
@@ -171,7 +170,7 @@ def _resolve(args) -> tuple[dict, str]:
     }
     # None unless a flag or the config gives a ladder: each reader has its own default
     ladder = pick(getattr(args, "eps_ladder", None), "eps-ladder")
-    opts["eps_ladder"] = _parse_floats(ladder, "--eps-ladder") if ladder else None
+    opts["eps_ladder"] = _parse_floats(ladder or "", "--eps-ladder") or None
     fmt = pick(args.format, "format") or "json"
     if fmt not in _RENDERERS:
         raise UsageError(f"format must be one of {', '.join(_RENDERERS)}")
@@ -267,8 +266,8 @@ def _run_bounds(rep, d, psi, z, opts):
     for space in ("B", "B0*"):
         rep.add(f"norm-upper-{space}", _sandwich(parts, space).upper,
                 mode="analytic-bounds", ref="norm:sandwich")
-    bd = boundedness_verdict(d, psi, cfg, ladder or DEFAULT_BOUNDARY_EPS)
-    b0 = boundedness_verdict(d, psi, cfg, ladder or DEFAULT_EPS_LADDER, space="B0*")
+    bd = boundedness_verdict(d, psi, cfg, ladder)
+    b0 = boundedness_verdict(d, psi, cfg, ladder, space="B0*")
     rep.verdicts.update({"boundedness-B": bd.verdict, "boundedness-B-note": bd.note,
                          "boundedness-B0*": b0.verdict, "boundedness-B0*-note": b0.note})
 

@@ -15,13 +15,23 @@ test the metric layer applies to batches of rows.
 Points are flat complex vectors of the ambient dimension; matrix
 domains are flattened row-major, so cartan1:3,2 takes 6 coordinates
 ordered Z[0,0], Z[0,1], Z[1,0], Z[1,1], Z[2,0], Z[2,1].
+
+Every seeded draw takes its generator from `_stream(seed, *key)`, or a
+seed for another call from `_stream_seed`, under a key of this table:
+
+    (i, r), (101, j, i, r)  sample_interior: shell i, draw role r, factor j
+    (202, eps bits)         sample_near_distinguished_boundary
+    (1,); () at seed 0      bloch.q_value_oracle's rotation; its direction set
+    (7,)                    the seed of lipschitz_beta_estimate's second sample
+    (31,)                   operators._battery's random members
+    (k,), 11 <= k           verify's suites, one key per draw
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import sqrt
 from typing import Callable
 
@@ -292,36 +302,38 @@ def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
     return u / norms
 
 
-def _role_rng(ss: np.random.SeedSequence, role: int) -> np.random.Generator:
-    # one substream per draw role, so growing the sample count extends
-    # every role's stream instead of shifting the later roles
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=ss.entropy, spawn_key=ss.spawn_key + (role,))))
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of SeedSequence(seed, spawn_key=key); keys as tabled above."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-# A band sampler draws len(t) interior rows at radial factors t in [lo, hi)
-# from the shell's seed sequence ss; a boundary sampler draws count rows at
-# radius r = 1 - eps from one generator.
-
-def _ball_band(dims, ss, lo, hi, t):
-    return _unit_directions(_role_rng(ss, 1), len(t), dims[0]) * t[:, None]
+def _stream_seed(seed: int, *key: int) -> int:
+    """An integer seed for another seeded call, from the same keyed stream."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
-def _polydisk_band(dims, ss, lo, hi, t):
+# A band sampler draws len(t) interior rows at radial factors t in [lo, hi),
+# taking the generator of draw role r >= 1 of its shell from role(r); a
+# boundary sampler draws count rows at radius r = 1 - eps from one generator.
+
+def _ball_band(dims, role, lo, hi, t):
+    return _unit_directions(role(1), len(t), dims[0]) * t[:, None]
+
+
+def _polydisk_band(dims, role, lo, hi, t):
     # every coordinate modulus sits inside the band: probes the torus
     shape = (len(t), dims[0])
-    mod = lo + (hi - lo) * _role_rng(ss, 1).random(shape)
-    ang = 2.0 * np.pi * _role_rng(ss, 2).random(shape)
+    mod = lo + (hi - lo) * role(1).random(shape)
+    ang = 2.0 * np.pi * role(2).random(shape)
     return mod * np.exp(1j * ang)
 
 
 def _matrix_band(shape: Callable, sign: int) -> Callable:
     """Gaussian matrices, symmetrised (sign 1) or antisymmetrised (sign
     -1), scaled to operator norm t."""
-    def band(dims, ss, lo, hi, t):
+    def band(dims, role, lo, hi, t):
         size = (len(t),) + shape(dims)
-        g = (_role_rng(ss, 1).standard_normal(size)
-             + 1j * _role_rng(ss, 2).standard_normal(size))
+        g = role(1).standard_normal(size) + 1j * role(2).standard_normal(size)
         if sign:
             g = (g + sign * np.transpose(g, (0, 2, 1))) / 2.0
         ops = np.linalg.norm(g, ord=2, axis=(1, 2))
@@ -330,11 +342,11 @@ def _matrix_band(shape: Callable, sign: int) -> Callable:
     return band
 
 
-def _cartan4_band(dims, ss, lo, hi, t):
+def _cartan4_band(dims, role, lo, hi, t):
     # largest s with s*u interior along a unit direction u:
     # A(s*u) = c^2 s^4 - 2 s^2 + 1 with c = |sum u_j^2| stays positive
     # for s^2 < 1/(1 + sqrt(1 - c^2)), which also enforces |s*u| < 1
-    u = _unit_directions(_role_rng(ss, 1), len(t), dims[0])
+    u = _unit_directions(role(1), len(t), dims[0])
     c2 = np.clip(np.abs(np.sum(u * u, axis=1)) ** 2, 0.0, 1.0)
     return u * (t * (1.0 / np.sqrt(1.0 + np.sqrt(1.0 - c2))))[:, None]
 
@@ -515,15 +527,14 @@ def _draw(d: DomainDescriptor, count: int, seed: int,
     if d.factors:
         out = np.empty((count, d.ambient_dim), dtype=np.complex128)
         for i, (s, t, f) in enumerate(d.factor_slices()):
-            sub = np.random.SeedSequence(entropy=seed, spawn_key=(101, i))
-            out[:, s:t] = _stratified(f, count, sub, shells)
+            out[:, s:t] = _stratified(f, count, seed, (101, i), shells)
     else:
-        out = _stratified(d, count, np.random.SeedSequence(entropy=seed), shells)
+        out = _stratified(d, count, seed, (), shells)
     out.flags.writeable = False
     return out
 
 
-def _stratified(d: DomainDescriptor, count: int, ss: np.random.SeedSequence,
+def _stratified(d: DomainDescriptor, count: int, seed: int, key: tuple[int, ...],
                 shells: tuple[float, ...]) -> np.ndarray:
     band = _row(d).band
     if band is None:
@@ -538,10 +549,11 @@ def _stratified(d: DomainDescriptor, count: int, ss: np.random.SeedSequence,
         c = base + (1 if i < rem else 0)
         if c == 0:
             continue
-        shell_ss = np.random.SeedSequence(entropy=ss.entropy,
-                                          spawn_key=ss.spawn_key + (i,))
-        t = lo + (hi - lo) * _role_rng(shell_ss, 0).random(c)
-        pieces.append(band(d.dims, shell_ss, lo, hi, t))
+        # one stream per draw role, so growing the sample count extends
+        # every role's stream instead of shifting the later roles
+        role = partial(_stream, seed, *key, i)
+        t = lo + (hi - lo) * role(0).random(c)
+        pieces.append(band(d.dims, role, lo, hi, t))
     return np.concatenate(pieces, axis=0)
 
 
@@ -560,6 +572,5 @@ def sample_near_distinguished_boundary(d: DomainDescriptor, count: int,
     if boundary is None:
         raise UnsupportedDomainError(f"no distinguished-boundary sampler for {d}")
     # keyed on the exact bits of eps, so distinct eps draw distinct streams
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=seed, spawn_key=(202, int(np.float64(eps).view(np.uint64))))))
+    rng = _stream(seed, 202, int(np.float64(eps).view(np.uint64)))
     return boundary(d.dims, count, 1.0 - eps, rng)

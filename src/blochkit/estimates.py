@@ -78,6 +78,13 @@ class SamplingConfig:
         return replace(self, **kw)
 
 
+def _check_ladder(eps) -> tuple[float, ...]:
+    eps = tuple(eps)
+    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise UsageError(f"an eps ladder needs at least two rungs, each below the last: {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class DecayProfile:
     """Max sampled Q on distinguished-boundary shells, one row per eps."""
@@ -87,10 +94,9 @@ class DecayProfile:
     samples_per_eps: int
 
     def __post_init__(self):
-        if len(self.eps) != len(self.max_q) or len(self.eps) < 2:
-            raise UsageError("profile needs matched eps/value rows, >= 2")
-        if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
-            raise UsageError("eps ladder must strictly decrease")
+        if len(self.eps) != len(self.max_q):
+            raise UsageError("profile needs one value per eps rung")
+        _check_ladder(self.eps)
 
     def rows(self) -> list[tuple[float, float]]:
         return list(zip(self.eps, self.max_q))

@@ -28,9 +28,10 @@ import numpy as np
 from .bloch import (AGAINST, _components, _family_sups, _shell_maxima,
                     beta_upper_poly, little_star_membership_diagnostic)
 from .constants import in_class_D, resolved_constant
-from .domains import DomainDescriptor, Kind, sample_interior
+from .domains import DomainDescriptor, Kind, _stream, sample_interior
 from .errors import NumericalDomainError, UsageError
-from .estimates import EstimateInterval, SamplingConfig
+from .estimates import (DEFAULT_EPS_LADDER, EstimateInterval, SamplingConfig,
+                        _check_ladder)
 from .metric import _require_metric, geometry
 from .symbols import (DEGREE_CAP, Polynomial, SymbolExpr, combine, constant,
                       evaluate, evaluate_many, is_constant, power_within_caps,
@@ -110,7 +111,7 @@ class BoundednessReport:
 
 def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
                         cfg: SamplingConfig = SamplingConfig(),
-                        eps_ladder: tuple[float, ...] = DEFAULT_BOUNDARY_EPS,
+                        eps_ladder: tuple[float, ...] | None = None,
                         space: str = "B") -> BoundednessReport:
     """Heuristic verdict from shell maxima of the criterion quantity
     omega * Q toward the distinguished boundary.
@@ -119,14 +120,16 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
     maxima never increase (decay is stronger evidence than a plateau);
     unbounded-evidence when every step grows by more than 20%; else
     inconclusive. Never a proof in either direction. space="B0*"
-    additionally requires the symbol's own decay diagnostic to pass.
+    additionally requires the symbol's own decay diagnostic to pass on
+    the same ladder, of two or more strictly decreasing rungs (default
+    DEFAULT_BOUNDARY_EPS for B, DEFAULT_EPS_LADDER for B0*).
     """
     if space not in ("B", "B0*"):
         raise UsageError("space must be 'B' or 'B0*'")
     _require_metric(d)
-    eps = tuple(eps_ladder)
-    if not eps:
-        raise UsageError("the boundary eps ladder needs at least one rung")
+    if eps_ladder is None:
+        eps_ladder = DEFAULT_EPS_LADDER if space == "B0*" else DEFAULT_BOUNDARY_EPS
+    eps = _check_ladder(eps_ladder)
     if is_constant(psi) is not None:
         return BoundednessReport(BOUNDED, eps, (0.0,) * len(eps),
                                  abs(is_constant(psi)),
@@ -138,7 +141,7 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
     _, m, non_increasing = _shell_maxima(d, psi, eps, cfg,
                                          lambda Z: geo.growth(Z, little))
     if space == "B0*":
-        _, diag = little_star_membership_diagnostic(d, psi, cfg=cfg)
+        _, diag = little_star_membership_diagnostic(d, psi, eps, cfg)
         if diag == AGAINST:
             return BoundednessReport(
                 UNBOUNDED_EVIDENCE, eps, m, sup_lower,
@@ -146,7 +149,7 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
     if max(m) <= 1e-15:
         return BoundednessReport(BOUNDED, eps, m, sup_lower,
                                  "criterion quantity vanishes on all shells")
-    plateau = abs(m[-1] - m[-2]) < 0.05 * max(m[-1], m[-2]) if len(m) >= 2 else True
+    plateau = abs(m[-1] - m[-2]) < 0.05 * max(m[-1], m[-2])
     if plateau or non_increasing:
         return BoundednessReport(BOUNDED_EVIDENCE, eps, m, sup_lower,
                                  "shell maxima do not grow toward the boundary")
@@ -249,8 +252,7 @@ def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[tuple[Polynomi
     for j in range(min(n, 3)):
         exps = tuple(1 if i == j else 0 for i in range(n))
         out.append(Polynomial(n, ((exps, 1.0 + 0.0j),)))
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(31,))))
+    rng = _stream(seed, 31)
     while len(out) < nfuncs:
         terms = []
         for _ in range(3):

@@ -16,7 +16,7 @@ from .errors import UnsupportedDomainError, UsageError
 from .estimates import DEFAULT_EPS_LADDER, SamplingConfig
 from .metric import rho_from_origin
 from .operators import _opnorms
-from .report import AnalysisReport, ResultRow
+from .report import AnalysisReport
 from .symbols import SymbolExpr, coordinate, format_complex
 
 PROBES = ("omega-vs-rho", "omega-vs-omega0", "omega0-blowup",
@@ -53,15 +53,10 @@ def probe_omega_vs_rho(d: DomainDescriptor, cfg: SamplingConfig,
     """
     _check_domain(d)
     rep = _report("omega-vs-rho", d, cfg)
-    Z = sample_interior(d, npoints, cfg.seed, cfg.shells)
-    for i in range(npoints):
-        z = Z[i]
+    for i, z in enumerate(sample_interior(d, npoints, cfg.seed, cfg.shells)):
         est = rho_from_origin(d, z)
-        rep.results.append(ResultRow(
-            name=f"z{i}={_fmt_point(z)}",
-            value=omega_empirical_lower(d, z),
-            lower=est.lower, upper=est.upper, mode="probe-row",
-            ref="open:growth-vs-distance"))
+        rep.add(f"z{i}={_fmt_point(z)}", omega_empirical_lower(d, z), est.lower, est.upper,
+                "probe-row", "open:growth-vs-distance")
     return rep
 
 
@@ -75,15 +70,11 @@ def probe_omega_vs_omega0(d: DomainDescriptor, cfg: SamplingConfig,
     """
     _check_domain(d)
     rep = _report("omega-vs-omega0", d, cfg)
-    Z = sample_interior(d, npoints, cfg.seed, cfg.shells)
-    for i in range(npoints):
-        z = Z[i]
+    for i, z in enumerate(sample_interior(d, npoints, cfg.seed, cfg.shells)):
         full = omega_empirical_lower(d, z)
         little = omega_empirical_lower(d, z, little=True)
-        rep.results.append(ResultRow(
-            name=f"z{i}={_fmt_point(z)}", value=full,
-            lower=little, upper=full, mode="probe-row",
-            ref="open:growth-vs-vanishing-growth"))
+        rep.add(f"z{i}={_fmt_point(z)}", full, little, full, "probe-row",
+                "open:growth-vs-vanishing-growth")
     return rep
 
 
@@ -92,21 +83,22 @@ def probe_omega0_blowup(d: DomainDescriptor, cfg: SamplingConfig,
                         ndirs: int = 5) -> AnalysisReport:
     """Vanishing-class growth floor along distinguished-boundary ladders.
 
-    For each rung eps, ndirs points at boundary distance eps share a
-    direction across rungs; value = vanishing-class lower bound, with
-    the rung min/max in [lower, upper].
+    ndirs points are drawn at boundary distance eps of the first rung and
+    scaled by (1 - eps) / (1 - eps_0) to each later rung, so point j keeps
+    its direction along the ladder; value = vanishing-class lower bound,
+    with the rung min/max in [lower, upper].
     """
     _check_domain(d)
+    if not eps_ladder or any(not (0.0 < eps < 1.0) for eps in eps_ladder):
+        raise UsageError("the eps ladder needs one or more rungs in (0, 1)")
     rep = _report("omega0-blowup", d, cfg)
+    Z0 = sample_near_distinguished_boundary(d, ndirs, eps_ladder[0], cfg.seed)
     for eps in eps_ladder:
-        # same seed per rung: directions persist along the ladder
-        Z = sample_near_distinguished_boundary(d, ndirs, eps, cfg.seed)
+        Z = Z0 * ((1.0 - eps) / (1.0 - eps_ladder[0]))
         vals = [omega_empirical_lower(d, z, little=True) for z in Z]
         for j in range(ndirs):
-            rep.results.append(ResultRow(
-                name=f"eps={eps:g} dir{j}", value=vals[j],
-                lower=min(vals), upper=max(vals), mode="probe-row",
-                ref="open:vanishing-growth-blowup"))
+            rep.add(f"eps={eps:g} dir{j}", vals[j], min(vals), max(vals), "probe-row",
+                    "open:vanishing-growth-blowup")
     return rep
 
 
@@ -131,8 +123,7 @@ def probe_norm_sharpness(d: DomainDescriptor, cfg: SamplingConfig,
         ("component-sigma", nb.sigma.lower, nb.sigma.lower, nb.sigma.upper),
     ]
     for name, v, lo, hi in rows:
-        rep.results.append(ResultRow(name=name, value=v, lower=lo, upper=hi,
-                                     mode="probe-row", ref="open:norm-gap"))
+        rep.add(name, v, lo, hi, "probe-row", "open:norm-gap")
     return rep
 
 

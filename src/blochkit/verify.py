@@ -1,9 +1,9 @@
 """Theorem verification suites.
 
-Each suite runs one family of numbered release-gate checks with all
-randomness derived from one entry seed, and returns CheckResult rows
-the CLI folds into a report. The acceptance tests call the same
-functions, so the CLI gate and the test gate cannot drift apart.
+Each suite runs one family of numbered release-gate checks, each draw
+on its own key of one entry seed (`domains._stream`), and returns
+CheckResult rows the CLI folds into a report. The acceptance tests call
+the same functions, so the CLI gate and the test gate cannot drift apart.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ from .bloch import (_components, omega_empirical_lower, q_value,
                     q_value_oracle)
 from .constants import (REGISTRY, bloch_constant, bloch_constant_candidates,
                         has_disk_factor, in_class_D)
-from .domains import (DomainDescriptor, ball, cartan1, cartan2, cartan3,
-                      cartan4, disk, exceptional16, exceptional27, polydisk,
-                      product, sample_interior)
+from .domains import (DomainDescriptor, _stream, _stream_seed, ball, cartan1,
+                      cartan2, cartan3, cartan4, disk, exceptional16,
+                      exceptional27, polydisk, product, sample_interior)
 from .errors import UsageError
 from .estimates import SamplingConfig
 from .metric import (QUAD_ABS_TOL, path_length, rho_from_origin,
                      segment_from_origin)
 from .operators import (_opnorms, compactness_verdict, grid_coverage,
                         isometry_verdict, spectrum_cloud)
-from .report import AnalysisReport, ResultRow
+from .report import AnalysisReport
 from .symbols import (Polynomial, SymbolExpr, _poly_from_dict, combine,
                       constant, coordinate, evaluate, evaluate_many,
                       supnorm_upper)
@@ -41,16 +41,6 @@ class CheckResult:
     threshold: str
     passed: bool
     detail: str = ""
-
-
-def _rng(seed: int, key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
-
-
-def _child_seed(seed: int, key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(key,))
-               .generate_state(1)[0])
 
 
 def _random_poly(rng: np.random.Generator, arity: int, degree: int,
@@ -78,9 +68,9 @@ def _random_poly(rng: np.random.Generator, arity: int, degree: int,
 def suite_q_oracle(seed: int = 42) -> list[CheckResult]:
     domains = [disk(), ball(2), ball(3), ball(4),
                polydisk(2), polydisk(3), polydisk(4)]
-    rng = _rng(seed, 11)
+    rng = _stream(seed, 11)
     per = -(-1000 // len(domains))
-    points = {i: sample_interior(d, per, _child_seed(seed, 12 + i))
+    points = {i: sample_interior(d, per, _stream_seed(seed, 12 + i))
               for i, d in enumerate(domains)}
     worst_gap = 0.0
     worst_over = -inf
@@ -101,9 +91,9 @@ def suite_q_oracle(seed: int = 42) -> list[CheckResult]:
         worst_over <= 1e-9 and worst_gap <= 1e-3,
         f"worst oracle overshoot {worst_over:.3e}, worst relative gap {worst_gap:.3e}")
 
-    rng2 = _rng(seed, 19)
+    rng2 = _stream(seed, 19)
     dd = disk()
-    Z = sample_interior(dd, 1000, _child_seed(seed, 20))
+    Z = sample_interior(dd, 1000, _stream_seed(seed, 20))
     worst = 0.0
     for i in range(1000):
         deg = int(rng2.integers(1, 7))
@@ -132,7 +122,7 @@ def suite_omega(seed: int = 42) -> list[CheckResult]:
         "quadrature matches arctanh r to 1e-4 at 100 radii",
         worst <= 1e-4, f"worst quadrature error {worst:.3e}")
 
-    Z = sample_interior(d2, 50, _child_seed(seed, 21))
+    Z = sample_interior(d2, 50, _stream_seed(seed, 21))
     worst_ratio = inf
     for z in Z:
         exact = atanh(float(np.linalg.norm(z)))
@@ -150,7 +140,7 @@ def suite_omega(seed: int = 42) -> list[CheckResult]:
     worst_u = -inf
     for arity, key in ((2, 22), (3, 23)):
         dp = polydisk(arity)
-        P = sample_interior(dp, 250, _child_seed(seed, key))
+        P = sample_interior(dp, 250, _stream_seed(seed, key))
         for z in P:
             lemma = max(atanh(abs(c)) for c in z)
             emp = omega_empirical_lower(dp, z)
@@ -174,8 +164,8 @@ def suite_omega(seed: int = 42) -> list[CheckResult]:
 
 def suite_product_rule(seed: int = 42) -> list[CheckResult]:
     domains = [disk(), ball(2), polydisk(2)]
-    rng = _rng(seed, 31)
-    points = {i: sample_interior(d, -(-1000 // 3), _child_seed(seed, 32 + i))
+    rng = _stream(seed, 31)
+    points = {i: sample_interior(d, -(-1000 // 3), _stream_seed(seed, 32 + i))
               for i, d in enumerate(domains)}
     worst = -inf
     ok = True
@@ -198,8 +188,8 @@ def suite_product_rule(seed: int = 42) -> list[CheckResult]:
 
 def suite_growth_lemma(seed: int = 42) -> list[CheckResult]:
     d = ball(2)
-    rng = _rng(seed, 41)
-    cfg = SamplingConfig(samples=3000, seed=_child_seed(seed, 42),
+    rng = _stream(seed, 41)
+    cfg = SamplingConfig(samples=3000, seed=_stream_seed(seed, 42),
                          refine_restarts=3, refine_iters=30)
     fs = [_random_poly(rng, 2, degree=4, nonconstant=True) for _ in range(50)]
     found = _components(d, [(f, {"beta": None}) for f in fs], cfg)
@@ -207,7 +197,7 @@ def suite_growth_lemma(seed: int = 42) -> list[CheckResult]:
     ok = True
     for i, (f, parts) in enumerate(zip(fs, found)):
         bhat = parts["beta"].lower
-        Z = sample_interior(d, 20, _child_seed(seed, 430 + i))
+        Z = sample_interior(d, 20, _stream_seed(seed, 430 + i))
         f0 = abs(evaluate(f, np.zeros(2)))
         vals = np.abs(evaluate_many(f, Z))
         for k in range(20):
@@ -221,8 +211,8 @@ def suite_growth_lemma(seed: int = 42) -> list[CheckResult]:
 
 
 def suite_norm_sandwich(seed: int = 42) -> list[CheckResult]:
-    rng = _rng(seed, 51)
-    cfg = SamplingConfig(samples=1500, seed=_child_seed(seed, 52),
+    rng = _stream(seed, 51)
+    cfg = SamplingConfig(samples=1500, seed=_stream_seed(seed, 52),
                          refine_restarts=2, refine_iters=25)
     symbols = [_random_poly(rng, 2, degree=3, nonconstant=True)
                for _ in range(20)]
@@ -251,7 +241,7 @@ def suite_norm_sandwich(seed: int = 42) -> list[CheckResult]:
 
 def suite_spectrum(seed: int = 42) -> list[CheckResult]:
     d = ball(2)
-    cfg = SamplingConfig(samples=100000, seed=_child_seed(seed, 61))
+    cfg = SamplingConfig(samples=100000, seed=_stream_seed(seed, 61))
     cloud = spectrum_cloud(d, coordinate(1, 2), cfg)
     maxmod = float(np.max(np.abs(cloud.points)))
     c1 = CheckResult(
@@ -263,7 +253,7 @@ def suite_spectrum(seed: int = 42) -> list[CheckResult]:
         "spectrum-coverage", "spectrum:coverage", float(empty),
         "no empty cell in a 20x20 grid over the radius-0.95 disk",
         empty == 0, f"{empty} empty cells")
-    small = SamplingConfig(samples=2000, seed=_child_seed(seed, 62))
+    small = SamplingConfig(samples=2000, seed=_stream_seed(seed, 62))
     sc = spectrum_cloud(d, constant(0.3 + 0.4j, 2), small)
     c3 = CheckResult(
         "spectrum-constant-singleton", "spectrum:singleton",
@@ -275,12 +265,12 @@ def suite_spectrum(seed: int = 42) -> list[CheckResult]:
 
 def suite_compactness(seed: int = 42) -> list[CheckResult]:
     d = ball(2)
-    cfg = SamplingConfig(samples=2048, seed=_child_seed(seed, 71))
+    cfg = SamplingConfig(samples=2048, seed=_stream_seed(seed, 71))
     zero_ok = compactness_verdict(d, constant(0.0, 2), cfg).verdict == "compact"
     c1 = CheckResult(
         "compactness-zero-symbol", "compact:zero-symbol",
         1.0 if zero_ok else 0.0, "zero symbol verdict is compact", zero_ok)
-    rng = _rng(seed, 72)
+    rng = _stream(seed, 72)
     ok = True
     bad = ""
     for i in range(50):
@@ -301,8 +291,8 @@ def suite_compactness(seed: int = 42) -> list[CheckResult]:
 
 
 def suite_isometry(seed: int = 42) -> list[CheckResult]:
-    rng = _rng(seed, 81)
-    cfg = SamplingConfig(samples=1024, seed=_child_seed(seed, 82),
+    rng = _stream(seed, 81)
+    cfg = SamplingConfig(samples=1024, seed=_stream_seed(seed, 82),
                          refine_restarts=2, refine_iters=20)
     ok_const = True
     bad = ""
@@ -388,7 +378,7 @@ def suite_constants(seed: int = 42) -> list[CheckResult]:
         1.0 if ok else 0.0,
         "registry matches the closed forms exactly across all classes", ok, bad)
 
-    rng = _rng(seed, 91)
+    rng = _stream(seed, 91)
     pool = [disk(), ball(2), ball(3), ball(5), polydisk(2), polydisk(3),
             cartan1(2, 2), cartan1(3, 2), cartan2(2), cartan2(3), cartan3(3),
             cartan3(4), cartan4(3), cartan4(5), exceptional16(), exceptional27()]
@@ -454,9 +444,7 @@ def run_suite(name: str, seed: int = 42) -> tuple[list[CheckResult], AnalysisRep
     report = AnalysisReport(command="verify", domain=None, symbol=None,
                             seed=seed, samples=None)
     for c in checks:
-        report.results.append(ResultRow(
-            name=c.name, value=c.measured, lower=None, upper=None,
-            mode="check", ref=c.ref))
+        report.add(c.name, c.measured, mode="check", ref=c.ref)
         report.verdicts[c.name] = "pass" if c.passed else "fail"
     report.verdicts["suite"] = name
     report.verdicts["overall"] = (

@@ -160,7 +160,7 @@ def test_criterion_12_determinism():
 
 def test_suite_seed_keys_never_repeat(monkeypatch):
     # every draw of every suite claims its own stream: record the spawn
-    # keys of the suites' generators and child seeds over one full run,
+    # keys of the suites' calls to the stream helpers over one full run,
     # with the costly calls replaced by cheap stand-ins
     from types import SimpleNamespace
 
@@ -171,16 +171,16 @@ def test_suite_seed_keys_never_repeat(monkeypatch):
     keys = []
 
     def recording(fn):
-        def wrapper(seed, key):
+        def wrapper(seed, *key):
             keys.append(key)
-            return fn(seed, key)
+            return fn(seed, *key)
         return wrapper
 
     outcome = SimpleNamespace(verdict="", witness={}, crossing_k=None,
                               points=np.zeros(1), is_singleton=True, bbox=())
     stubs = {
-        "_rng": recording(verify._rng),
-        "_child_seed": recording(verify._child_seed),
+        "_stream": recording(verify._stream),
+        "_stream_seed": recording(verify._stream_seed),
         "sample_interior": lambda d, n, *a: np.zeros((n, d.ambient_dim), complex),
         "_random_poly": lambda rng, arity, *a, **k: coordinate(1, arity),
         "q_value": lambda *a: 0.0,

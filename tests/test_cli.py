@@ -209,7 +209,8 @@ def test_bounds_eps_ladder_reaches_both_verdicts(capsys, monkeypatch):
     from blochkit import cli, operators
 
     real = operators.boundedness_verdict
-    seen = []
+    real_diagnostic = operators.little_star_membership_diagnostic
+    seen, decay = [], []
 
     def spy(*args, **kw):
         # tag each verdict with the ladder its space received
@@ -217,18 +218,27 @@ def test_bounds_eps_ladder_reaches_both_verdicts(capsys, monkeypatch):
         seen.append((kw.get("space", "B"), out.eps))
         return dataclasses.replace(out, verdict=f"{seen[-1]}")
 
+    def diagnostic(*args, **kw):
+        # the B0* verdict's decay half, on the ladder it received
+        profile, verdict = real_diagnostic(*args, **kw)
+        decay.append(profile.eps)
+        return profile, verdict
+
     monkeypatch.setattr(operators, "boundedness_verdict", spy)
     monkeypatch.setattr(cli, "boundedness_verdict", spy)
+    monkeypatch.setattr(operators, "little_star_membership_diagnostic", diagnostic)
     argv = ["bounds", "--domain", "disk", "--symbol", "z1", "--samples", "300"]
     defaults = [("B", operators.DEFAULT_BOUNDARY_EPS), ("B0*", DEFAULT_EPS_LADDER)]
     for extra, want in (([], defaults),
                         (["--eps-ladder", "0.2,0.05"], [("B", (0.2, 0.05)), ("B0*", (0.2, 0.05))])):
         seen.clear()
+        decay.clear()
         rc, out = run_cli(capsys, argv + extra)
         assert rc == 0
         verdicts = json.loads(out)["verdicts"]
         assert [verdicts["boundedness-B"], verdicts["boundedness-B0*"]] == [str(w) for w in want]
         assert seen == want
+        assert decay == [want[1][1]]
 
 
 @pytest.mark.parametrize("extra,rungs", [([], ("0.1", "0.01", "0.001")),
@@ -424,6 +434,9 @@ def test_exit_code_usage_error(capsys, tmp_path):
     cfg.write_text("domain = ball:2\nsymbol = z1\nsamples = 300\nshells =\n")
     assert main(["beta", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: shells")
+    for ladder in ("0.1", "0.01,0.1", "0.1,0.1"):
+        assert main(["bounds", "--domain", "disk", "--symbol", "z1", "--eps-ladder", ladder]) == 1
+        assert "at least two rungs, each below the last" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_domain_error(capsys):

@@ -158,6 +158,11 @@ def test_boundedness_empty_ladder_is_a_usage_error(fast_cfg, monkeypatch):
     monkeypatch.setattr(operators, "sample_interior", no_draws)
     with pytest.raises(UsageError, match="ladder"):
         boundedness_verdict(disk(), coordinate(1, 1), fast_cfg, ())
+    # either space needs two or more strictly decreasing rungs
+    for ladder in ((0.1,), (0.01, 0.1), (0.1, 0.1)):
+        for space in ("B", "B0*"):
+            with pytest.raises(UsageError, match="at least two rungs, each below the last"):
+                boundedness_verdict(disk(), coordinate(1, 1), fast_cfg, ladder, space)
 
 
 def test_boundedness_report_dict(fast_cfg):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from blochkit import SamplingConfig, ball, cartan1, coordinate, disk, polydisk, run_probe
@@ -56,6 +57,29 @@ def test_omega0_blowup_rows():
         assert "eps=" in row.name
         if row.lower is not None and row.upper is not None:
             assert row.lower <= row.upper + 1e-12
+
+
+@pytest.mark.parametrize("d", [ball(2), polydisk(2)])
+def test_omega0_blowup_keeps_each_direction_along_the_ladder(d, monkeypatch):
+    from blochkit import probes
+
+    seen = []
+
+    def record(d, z, **kw):
+        seen.append(z)
+        return 0.0
+
+    monkeypatch.setattr(probes, "omega_empirical_lower", record)
+    ladder, ndirs = (0.3, 0.03, 0.003), 5
+    probes.probe_omega0_blowup(d, CFG, ladder, ndirs)
+    Z = np.array(seen).reshape(len(ladder), ndirs, -1)
+    for k, eps in enumerate(ladder):
+        # point j of rung k is point j of the first rung times a positive scale
+        scale = (1.0 - eps) / (1.0 - ladder[0])
+        np.testing.assert_allclose(Z[k], Z[0] * scale, rtol=0, atol=1e-15)
+    for bad in ((0.1, 1.0), ()):
+        with pytest.raises(UsageError):
+            probes.probe_omega0_blowup(d, CFG, bad)
 
 
 def test_norm_sharpness_gap_nonnegative():
