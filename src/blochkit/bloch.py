@@ -11,9 +11,17 @@ over stratified samples, raised by golden-section line searches from the
 best samples. Every one is drawn and refined by `_family_sups`, whose
 members are functions of |psi| and Q_psi, of one symbol or of many, that
 share a domain, a config and one draw. The scan takes each distinct
-symbol's jet once; then the restarts of all members search in lockstep,
-each line cut to its closed-form chord, with one batched gauge check and
-one call of the members' family jet per step.
+symbol's |psi| and Q_psi, and the growth, from a memo (`_on_draw`);
+then the restarts of all members search in lockstep, each line cut to
+its closed-form chord, with one batched gauge check and one call of the
+members' family jet per step.
+
+The memo keys a quantity on the identity of a read-only draw (what
+`sample_interior` hands out) and of the symbol or geometry it reads,
+holds the draw weakly, so an entry dies with it, and the rest strongly.
+It keeps four entries, least recently used out first, each computed
+LOOP_CHUNK rows at a time, and never a writeable array's: a seminorm,
+then a boundary weight of one symbol on one draw read its gradient once.
 
 The component table (`_components`) turns such sups of one or many
 symbols into `EstimateInterval`s: the sup-norm, the seminorm, the Bloch
@@ -28,12 +36,14 @@ arctanh of the gauge and the *-little floor is `Geometry.growth(little=True)`.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import islice
 from math import inf, sqrt
 
 import numpy as np
 
+from ._kernels import LOOP_CHUNK
 from .domains import (DomainDescriptor, _as_point, _stream, _stream_seed,
                       _unit_directions, sample_interior,
                       sample_near_distinguished_boundary)
@@ -43,8 +53,7 @@ from .estimates import (DecayProfile, DEFAULT_EPS_LADDER, EstimateInterval,
 from .metric import (RHO_UPPER_PAD, geometry, _outside, _require_interior,
                      _require_metric)
 from .symbols import (Polynomial, SymbolExpr, evaluate, evaluate_many,
-                      gradient, gradient_many, is_constant, jet_family,
-                      jet_many)
+                      gradient, gradient_many, is_constant, jet_family)
 
 CONSISTENT = "consistent-with-membership"
 AGAINST = "evidence-against"
@@ -64,6 +73,33 @@ def q_value(d: DomainDescriptor, f: SymbolExpr, z) -> float:
     z = _as_point(d, z)
     _require_interior(d, z)
     return float(q_values(d, f, z.reshape(1, -1))[0])
+
+
+# what `_on_draw` computes per row of a draw Z, by name
+_QUANTITIES = {"abs": lambda Z, psi: np.abs(evaluate_many(psi, Z)),
+               "q": lambda Z, geo, psi: geo.q(Z, gradient_many(psi, Z)),
+               "growth": lambda Z, geo, little: geo.growth(Z, little)}
+# (name, id(Z), *ids of the objects) -> (values, objects, finalizer of Z)
+_ON_DRAW: dict = {}
+
+
+def _on_draw(name: str, Z: np.ndarray, *objs) -> np.ndarray:
+    """The quantity `name` of the objects at the rows of Z, remembered
+    (see the module docstring) when Z is read-only."""
+    if Z.flags.writeable:
+        return _QUANTITIES[name](Z, *objs)
+    key = (name, id(Z), *map(id, objs))
+    if key in _ON_DRAW:
+        _ON_DRAW[key] = _ON_DRAW.pop(key)  # the most recently used last
+        return _ON_DRAW[key][0]
+    out = np.empty(len(Z))
+    for s in range(0, len(Z), LOOP_CHUNK):
+        out[s:s + LOOP_CHUNK] = _QUANTITIES[name](Z[s:s + LOOP_CHUNK], *objs)
+    out.flags.writeable = False
+    _ON_DRAW[key] = out, objs, weakref.finalize(Z, _ON_DRAW.pop, key, None)
+    if len(_ON_DRAW) > 4:
+        _ON_DRAW.pop(next(iter(_ON_DRAW)))[2].detach()
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -217,10 +253,10 @@ def _family_sups(d: DomainDescriptor, members,
     v = |psi| and q = Q_psi at the rows of Z, from one `_sup_estimates`
     call. Each member is a (psi, part, reads) triple, `reads` holding what
     part reads, "v", "q" or both; the other is passed as None and never
-    evaluated. Symbols and parts are told apart by identity. The scan is
-    one `jet_many` call per distinct symbol, and each refinement step one
-    call of the members' family jet (`jet_family`) over all rows, after
-    which each row keeps its own member's part."""
+    evaluated. Symbols and parts are told apart by identity. The scan
+    reads each distinct symbol's v and q from `_on_draw`, and each
+    refinement step is one call of the members' family jet (`jet_family`)
+    over all rows, after which each row keeps its own member's part."""
     geo = geometry(d)
     syms, reads = {}, {}
     for psi, _, r in members:
@@ -228,12 +264,9 @@ def _family_sups(d: DomainDescriptor, members,
     parts = list({id(part): part for _, part, _ in members}.values())
     part_of = np.array([parts.index(part) for _, part, _ in members])
 
-    def sizes(Z, vals, grads):
-        return (None if vals is None else np.abs(vals),
-                None if grads is None else geo.q(Z, grads))
-
     def values(Z):
-        found = {key: sizes(Z, *jet_many(psi, Z, "v" in reads[key], "q" in reads[key]))
+        found = {key: (_on_draw("abs", Z, psi) if "v" in reads[key] else None,
+                       _on_draw("q", Z, geo, psi) if "q" in reads[key] else None)
                  for key, psi in syms.items()}
         return np.stack([part(*found[id(psi)], Z) for psi, part, _ in members])
 
@@ -241,7 +274,8 @@ def _family_sups(d: DomainDescriptor, members,
     value, grad = "v" in asked, "q" in asked
 
     def rows(P, which):
-        v, q = sizes(P, *jet(P, which, value, grad))
+        v, q = jet(P, which, value, grad)
+        v, q = v if v is None else np.abs(v), q if q is None else geo.q(P, q)
         if len(parts) == 1:  # as in the battery: nothing to gather
             return parts[0](v, q, P)
         return np.stack([part(v, q, P) for part in parts])[part_of[which], np.arange(len(P))]
@@ -271,8 +305,8 @@ def _components(d: DomainDescriptor, asks,
     geo = geometry(d)
     parts = {"sup": lambda v, q, Z: v,
              "beta": lambda v, q, Z: q,
-             "sigma": lambda v, q, Z: q * geo.growth(Z, False),
-             "sigma0": lambda v, q, Z: q * geo.growth(Z, True)}
+             "sigma": lambda v, q, Z: q * _on_draw("growth", Z, geo, False),
+             "sigma0": lambda v, q, Z: q * _on_draw("growth", Z, geo, True)}
     parts["bloch"] = parts["beta"]
     members = [(psi, parts[name], "v" if name == "sup" else "q")
                for psi, certs in asks if is_constant(psi) is None for name in certs]
@@ -353,18 +387,28 @@ def omega_empirical_lower(d: DomainDescriptor, z, *, little: bool = False) -> fl
 # decay diagnostics
 
 def _shell_maxima(d: DomainDescriptor, f: SymbolExpr, eps, cfg: SamplingConfig,
-                  weight=None) -> tuple[int, tuple[float, ...], bool]:
-    """Max of Q_f, times weight(Z) when given, over one
-    `sample_near_distinguished_boundary` draw per eps. Returns the draw
-    size, the maxima, and whether they never increase (to 1e-9 relative)."""
+                  weights=(None,)) -> tuple[int, list[tuple[float, ...]]]:
+    """Per weight, the max of Q_f times weight(Z) (Q_f alone for None)
+    over one `sample_near_distinguished_boundary` draw per eps, Q_f
+    computed once per draw. Returns the draw size and the maxima."""
     count = max(64, cfg.samples // len(eps))
-    maxima = []
+    rungs = []
     for e in eps:
         Z = sample_near_distinguished_boundary(d, count, e, cfg.seed)
         q = q_values(d, f, Z)
-        maxima.append(float(np.max(q if weight is None else q * weight(Z))))
-    falling = all(b <= a * (1.0 + 1e-9) for a, b in zip(maxima, maxima[1:]))
-    return count, tuple(maxima), falling
+        rungs.append([float(np.max(q if w is None else q * w(Z))) for w in weights])
+    return count, list(zip(*rungs))
+
+
+def _falling(maxima) -> bool:
+    """Whether shell maxima never increase, to 1e-9 relative."""
+    return all(b <= a * (1.0 + 1e-9) for a, b in zip(maxima, maxima[1:]))
+
+
+def _decay_verdict(maxima) -> str:
+    """The decay rule of `little_star_membership_diagnostic`."""
+    falls = _falling(maxima) and maxima[-1] < 0.1 * maxima[0]
+    return CONSISTENT if max(maxima) <= 1e-15 or falls else AGAINST
 
 
 def little_star_membership_diagnostic(
@@ -379,8 +423,5 @@ def little_star_membership_diagnostic(
     """
     _require_metric(d)
     eps = _check_ladder(eps_ladder)
-    count, maxima, falling = _shell_maxima(d, f, eps, cfg)
-    profile = DecayProfile(eps, maxima, count)
-    if max(maxima) <= 1e-15 or (falling and maxima[-1] < 0.1 * maxima[0]):
-        return profile, CONSISTENT
-    return profile, AGAINST
+    count, (maxima,) = _shell_maxima(d, f, eps, cfg)
+    return DecayProfile(eps, maxima, count), _decay_verdict(maxima)

@@ -25,8 +25,9 @@ from math import inf, isinf, nextafter
 
 import numpy as np
 
-from .bloch import (AGAINST, _components, _family_sups, _shell_maxima,
-                    beta_upper_poly, little_star_membership_diagnostic)
+from ._kernels import LOOP_CHUNK
+from .bloch import (AGAINST, _components, _decay_verdict, _falling, _family_sups,
+                    _on_draw, _shell_maxima, beta_upper_poly)
 from .constants import in_class_D, resolved_constant
 from .domains import DomainDescriptor, Kind, _stream, sample_interior
 from .errors import NumericalDomainError, UsageError
@@ -134,23 +135,20 @@ def boundedness_verdict(d: DomainDescriptor, psi: SymbolExpr,
         return BoundednessReport(BOUNDED, eps, (0.0,) * len(eps),
                                  abs(is_constant(psi)),
                                  "constant symbol, zero boundary weight")
-    sup_lower = float(np.max(np.abs(evaluate_many(
-        psi, sample_interior(d, max(256, cfg.samples // 4), cfg.seed,
-                             cfg.shells)))))
+    sup_lower = float(np.max(_on_draw("abs", sample_interior(
+        d, max(256, cfg.samples // 4), cfg.seed, cfg.shells), psi)))
     geo, little = geometry(d), space == "B0*"
-    _, m, non_increasing = _shell_maxima(d, psi, eps, cfg,
-                                         lambda Z: geo.growth(Z, little))
-    if space == "B0*":
-        _, diag = little_star_membership_diagnostic(d, psi, eps, cfg)
-        if diag == AGAINST:
-            return BoundednessReport(
-                UNBOUNDED_EVIDENCE, eps, m, sup_lower,
-                "symbol fails the vanishing-class decay diagnostic")
+    weights = (lambda Z: geo.growth(Z, little),) + ((None,) if little else ())
+    _, (m, *diag) = _shell_maxima(d, psi, eps, cfg, weights)
+    if diag and _decay_verdict(diag[0]) == AGAINST:
+        return BoundednessReport(
+            UNBOUNDED_EVIDENCE, eps, m, sup_lower,
+            "symbol fails the vanishing-class decay diagnostic")
     if max(m) <= 1e-15:
         return BoundednessReport(BOUNDED, eps, m, sup_lower,
                                  "criterion quantity vanishes on all shells")
     plateau = abs(m[-1] - m[-2]) < 0.05 * max(m[-1], m[-2])
-    if plateau or non_increasing:
+    if plateau or _falling(m):
         return BoundednessReport(BOUNDED_EVIDENCE, eps, m, sup_lower,
                                  "shell maxima do not grow toward the boundary")
     if all(b > 1.2 * a for a, b in zip(m, m[1:])):
@@ -344,7 +342,8 @@ def _hull_candidates(xy: np.ndarray) -> np.ndarray:
     # inward normals: p is inside edge k when normal_k . (p - corner_k) > margin
     normals = np.column_stack([-edges[live, 1], edges[live, 0]])
     floor = (normals * corners[live]).sum(axis=1) + margin
-    inside = (normals @ xy.T > floor[:, None]).all(axis=0)
+    inside = np.concatenate([(normals @ xy[s:s + LOOP_CHUNK].T > floor[:, None]).all(axis=0)
+                             for s in range(0, len(xy), LOOP_CHUNK)])
     return np.flatnonzero(~inside)
 
 
@@ -464,7 +463,7 @@ def spectrum_cloud(d: DomainDescriptor, psi: SymbolExpr,
     _require_metric(d)
     Z = sample_interior(d, cfg.samples, cfg.seed, cfg.shells)
     vals = evaluate_many(psi, Z)
-    xy = np.column_stack([vals.real, vals.imag])
+    xy = np.ascontiguousarray(vals).view(np.float64).reshape(-1, 2)  # rows re, im
     if not np.isfinite(xy).all():
         raise NumericalDomainError("the symbol's values overflow at sampled points")
     bbox = (float(xy[:, 0].min()), float(xy[:, 0].max()),

@@ -209,7 +209,7 @@ def test_bounds_eps_ladder_reaches_both_verdicts(capsys, monkeypatch):
     from blochkit import cli, operators
 
     real = operators.boundedness_verdict
-    real_diagnostic = operators.little_star_membership_diagnostic
+    real_shells = operators._shell_maxima
     seen, decay = [], []
 
     def spy(*args, **kw):
@@ -218,15 +218,16 @@ def test_bounds_eps_ladder_reaches_both_verdicts(capsys, monkeypatch):
         seen.append((kw.get("space", "B"), out.eps))
         return dataclasses.replace(out, verdict=f"{seen[-1]}")
 
-    def diagnostic(*args, **kw):
-        # the B0* verdict's decay half, on the ladder it received
-        profile, verdict = real_diagnostic(*args, **kw)
-        decay.append(profile.eps)
-        return profile, verdict
+    def shells(d, psi, eps, cfg, weights):
+        # the B0* verdict's decay half, the unweighted maxima, on the
+        # ladder it received
+        if None in weights:
+            decay.append(eps)
+        return real_shells(d, psi, eps, cfg, weights)
 
     monkeypatch.setattr(operators, "boundedness_verdict", spy)
     monkeypatch.setattr(cli, "boundedness_verdict", spy)
-    monkeypatch.setattr(operators, "little_star_membership_diagnostic", diagnostic)
+    monkeypatch.setattr(operators, "_shell_maxima", shells)
     argv = ["bounds", "--domain", "disk", "--symbol", "z1", "--samples", "300"]
     defaults = [("B", operators.DEFAULT_BOUNDARY_EPS), ("B0*", DEFAULT_EPS_LADDER)]
     for extra, want in (([], defaults),

@@ -350,12 +350,98 @@ def test_single_components_evaluate_only_what_they_read(spec, monkeypatch):
     for schedule, at in ((_kernels._table, 1), (_kernels._loop, 0)):
         monkeypatch.setattr(_kernels, schedule.__name__, spy(schedule, at))
     for name, ask in asks.items():
+        # a fresh memo, or a repeat ask would read the draw's Q from it
         computed.clear()
+        bloch._ON_DRAW.clear()
         assert repr(ask()) == expected[name]
         read = "value" if name == "sup" else "grad"
         # the Bloch norm adds |psi(0)|, one value at one point
         extra = {("_table", "value")} if name == "bloch" else set()
         assert computed == {("_loop", read), ("_table", read)} | extra, name
+
+
+# ---------------------------------------------------------------- the draw memo
+
+_SCAN_PSI = "0.3 + z1*z2 - 0.5*z3^2 + (0.2+0.1i)*z1^3"
+
+
+def test_single_components_on_one_draw_match_a_fresh_memo():
+    # beta first fills the memo with Q on the draw; every later ask must
+    # give, to the bit, what it gives on an empty memo
+    d, psi = ball(3), parse_symbol(_SCAN_PSI, 3)
+    cfg = SamplingConfig(samples=20000, seed=42, refine_restarts=1, refine_iters=3)
+    asks = [lambda: beta_estimate(d, psi, cfg),
+            lambda: sigma_estimate(d, psi, cfg),
+            lambda: sigma_estimate(d, psi, cfg, which="sigma0"),
+            lambda: supnorm_estimate(d, psi, cfg)]
+    bloch._ON_DRAW.clear()
+    warm = [repr(ask()) for ask in asks]
+    assert bloch._ON_DRAW
+    for ask, got in zip(asks, warm):
+        bloch._ON_DRAW.clear()
+        assert repr(ask()) == got
+
+
+def test_draw_memo_keeps_at_most_four_entries():
+    d = ball(2)
+    cfg = SamplingConfig(samples=3000, seed=5, refine_restarts=0)
+    bloch._ON_DRAW.clear()
+    for k in range(10):
+        beta_estimate(d, parse_symbol(f"z1^{k + 1} + 0.5*z2", 2), cfg)
+        assert len(bloch._ON_DRAW) <= 4
+    assert len(bloch._ON_DRAW) == 4
+
+
+def test_draw_memo_entries_die_with_the_draw():
+    from blochkit import domains
+
+    d, psi = polydisk(2), parse_symbol("z1*z2 + z2^2", 2)
+    bloch._ON_DRAW.clear()
+    sigma_estimate(d, psi, SamplingConfig(samples=3000, seed=5, refine_restarts=0))
+    assert len(bloch._ON_DRAW) == 2  # Q of psi and the growth
+    domains._draw.cache_clear()
+    assert not bloch._ON_DRAW
+
+
+def test_draw_memo_never_remembers_a_writeable_array():
+    geo, psi = bloch.geometry(ball(2)), parse_symbol("z1*z2 + z2^2", 2)
+    Z = np.array(sample_interior(ball(2), 100, 3))
+    bloch._ON_DRAW.clear()
+    got = bloch._on_draw("q", Z, geo, psi)
+    assert not bloch._ON_DRAW
+    assert np.array_equal(got, q_values(ball(2), psi, Z))
+
+
+def test_beta_then_sigma_run_the_gradient_sums_once(monkeypatch):
+    d, psi = ball(3), parse_symbol(_SCAN_PSI, 3)
+    cfg = SamplingConfig(samples=20000, seed=42, refine_restarts=0)
+    rows = []
+    real = _kernels._loop
+
+    def loop(blocks, Z):
+        rows.extend(len(Z) for sums in blocks if len(sums.counts) == 3)
+        return real(blocks, Z)
+
+    monkeypatch.setattr(_kernels, "_loop", loop)
+    bloch._ON_DRAW.clear()
+    beta_estimate(d, psi, cfg)
+    sigma_estimate(d, psi, cfg)
+    assert sum(rows) == cfg.samples
+
+
+def test_b0_star_verdict_draws_each_boundary_rung_once(monkeypatch, fast_cfg):
+    real = bloch.sample_near_distinguished_boundary
+    draws = []
+
+    def spy(d, count, eps, seed):
+        draws.append((count, eps, seed))
+        return real(d, count, eps, seed)
+
+    monkeypatch.setattr(bloch, "sample_near_distinguished_boundary", spy)
+    for psi in (coordinate(1, 2), parse_symbol("z1^2 + 0.3*z1*z2", 2)):
+        draws.clear()
+        rep = boundedness_verdict(ball(2), psi, fast_cfg, space="B0*")
+        assert len(draws) == len(set(draws)) == len(rep.eps)
 
 
 def test_constant_components_do_not_read_the_config():
