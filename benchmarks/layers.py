@@ -1,19 +1,20 @@
 """Per-invocation best timings of blochkit's refinement and scan layers
-for one checkout, or for two checkouts in one process, summarized across
+for one checkout, or for two checkouts side by side, summarized across
 invocations.
 
     python3 benchmarks/layers.py --root <checkout> --label <name> --out <file.json>
     python3 benchmarks/layers.py --root <checkout> --label <name> --out <file.json> \
         --against <other checkout> --against-label <other name>
 
-Imports blochkit from <checkout>/src in this process (no install, no
-build) and times, each as the best of several rounds after one warm-up
-round:
+Each checkout is timed in a child process of its own, which imports
+blochkit from <checkout>/src (no install, no build) and nothing else of
+the package. Each layer is timed as the best of several rounds after one
+warm-up round:
 
 - battery: `empirical_opnorm_lower` (battery of 6) on three cubics on
   ball:2 and on polydisk:2;
-- ladder: `isometry_verdict` on ball:2 and twice on ball:5, for symbols
-  whose power ladder runs to psi^16;
+- ladder.<domain>: `isometry_verdict` once on ball:2 and twice on ball:5,
+  for symbols whose power ladder runs to psi^16, one row per domain;
 - norm_bounds: one `norm_bounds` call on ball:2 and one on polydisk:2;
 - scan_singles: `beta_estimate` plus `sigma_estimate` of one 10-term
   symbol on each of ball:3, polydisk:3 and product(ball:2,disk), with
@@ -38,10 +39,8 @@ round:
 - cold.spectrum_s and cold.spectrum_peak_mb: the wall time and the peak
   resident memory of a fresh `python -m blochkit spectrum --domain ball:3
   --samples 50000` process on the 10-term scan symbol, import included.
-  The peak is each child's own, from `os.wait4`, taken before this
-  process imports numpy. With --against, the two checkouts' children
-  take turns, and each imports its own checkout's src/blochkit only, so
-  the two packages share no heap in these rows.
+  The peak is each child's own, from `os.wait4`, taken before any timing
+  child starts. With --against, the two checkouts' children take turns.
 
 Other sampled sups use 1000 samples (1024 for the ladder), 2 restarts and
 20 golden-section steps, as the refine workload of perfbench does. BLAS runs
@@ -55,15 +54,12 @@ invocation, and the label reports the median and quartiles of the
 per-invocation bests.
 
 A process can run in a faster or slower speed mode than the next. With
---against, the other checkout's src/blochkit is copied into a temporary
-directory under the package name `blochkit_against` (the package imports
-itself only relatively) and imported next to the first. Each layer then
-times both packages in this process, alternating which goes first from
-round to round. The other checkout's bests go under --against-label, and
-the ratio of the two bests (--label over --against-label) of every
-invocation under "ratios", where the speed mode cancels. The two
-packages share one allocator, so one side's temporaries can change the
-page faults of the other; confirm a small ratio in separate processes.
+--against, both checkouts' children live through the whole invocation,
+and each layer times them in turn, one round at a time, alternating which
+goes first from round to round, so a swing of the machine's speed reaches
+both. The two children share no heap. The other checkout's bests go
+under --against-label, and the ratio of the two bests (--label over
+--against-label) of every invocation under "ratios".
 """
 
 from __future__ import annotations
@@ -74,13 +70,12 @@ import hashlib
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -104,22 +99,19 @@ SECOND_SCAN_SYMBOL = ("(0.1+0.4i)*z1 + (0.3-0.2i)*z2^2 + (-0.4-0.1i)*z3^2 + (0.2
                       " + (-0.3+0.5i)*z1^2*z2 + (0.5+0.1i)*z2^3*z3 + (0.1-0.3i)*z1*z2^2*z3"
                       " + (0.4+0.2i)*z3^4 + (-0.2-0.4i)*z1^5 + (0.3+0.1i)*z1*z2^2*z3^2")
 SCAN_DOMAINS = ("ball:3", "polydisk:3", "product(ball:2,disk)")
-AGAINST_PACKAGE = "blochkit_against"
 
 
 def best_of(rounds: int, fns) -> list[float]:
-    """The best of `rounds` timed calls of each of fns, after one warm-up
-    call each (caches and the remembered sample draws), alternating which
-    one goes first from round to round."""
+    """The best of `rounds` calls of each of fns, each of which returns its
+    own time, after one warm-up call each (caches and the remembered
+    sample draws), alternating which one goes first from round to round."""
     for fn in fns:
         fn()
     times = [[] for _ in fns]
     for r in range(rounds):
         order = list(enumerate(fns))
         for k, fn in (order if r % 2 == 0 else order[::-1]):
-            start = time.perf_counter()
-            fn()
-            times[k].append(time.perf_counter() - start)
+            times[k].append(fn())
     return [min(t) for t in times]
 
 
@@ -165,9 +157,10 @@ def layers(bk, verify, cli) -> dict:
     out = {
         "battery_s": (ROUNDS, lambda: [
             bk.empirical_opnorm_lower(d, psi, cfg, nfuncs=6) for d in planes for psi in cubics]),
-        "ladder_s": (ROUNDS, lambda: [
-            bk.isometry_verdict(d, psi, iso_cfg) for d, psi in ladder]),
     }
+    for spec in dict(LADDER):
+        out[f"ladder.{spec}_s"] = (ROUNDS, lambda spec=spec: [
+            bk.isometry_verdict(d, psi, iso_cfg) for d, psi in ladder if str(d) == spec])
     for d in planes:
         out[f"norm_bounds.{d}_s"] = (2 * ROUNDS, lambda d=d: bk.norm_bounds(d, cubics[0], cfg))
     scan_cfg = bk.SamplingConfig(samples=50000, seed=7, refine_restarts=0)
@@ -225,29 +218,66 @@ def cold_spectrum(roots) -> list[dict]:
             for t, p in zip(times, peaks)]
 
 
-def measure(packages) -> list[dict]:
-    """Each package's best time of every layer, the packages timed in
-    turn round by round."""
-    sides = [layers(*package) for package in packages]
-    out = [{} for _ in sides]
-    for name, (rounds, _) in sides[0].items():
-        for best, side_best in zip(out, best_of(rounds, [side[name][1] for side in sides])):
-            best[name] = side_best
-    return out
-
-
-def load(root: Path, name: str):
-    """(blochkit, verify, cli) of the package `name` at <root>/src/<name>."""
+def load(root: Path):
+    """(blochkit, verify, cli) of the checkout at <root>/src."""
     sys.path.insert(0, str(root / "src"))
     try:
-        bk = importlib.import_module(name)
-        package = (bk, importlib.import_module(f"{name}.verify"),
-                   importlib.import_module(f"{name}.cli"))
+        bk = importlib.import_module("blochkit")
+        package = (bk, importlib.import_module("blochkit.verify"),
+                   importlib.import_module("blochkit.cli"))
     finally:
         sys.path.pop(0)
-    if Path(bk.__file__).resolve() != root / "src" / name / "__init__.py":
+    if Path(bk.__file__).resolve() != root / "src" / "blochkit" / "__init__.py":
         raise SystemExit(f"imported {bk.__file__}, not the checkout at {root}")
     return package
+
+
+def serve(root: Path, conn) -> None:
+    """The loop of one checkout's timing child: send the checkout's code
+    record, the versions and every layer's round count, then run the named
+    layer of each request once and send back its time, until None."""
+    import numpy
+
+    bk, verify, cli = load(root)
+    table = layers(bk, verify, cli)
+    versions = {"numpy": numpy.__version__}
+    with contextlib.suppress(ImportError):
+        import scipy
+        versions["scipy"] = scipy.__version__
+    conn.send((code_record(root, bk), versions,
+               {name: rounds for name, (rounds, _) in table.items()}))
+    while (name := conn.recv()) is not None:
+        start = time.perf_counter()
+        table[name][1]()
+        conn.send(time.perf_counter() - start)
+
+
+def measure(roots) -> tuple[list[dict], dict, list[dict]]:
+    """Each checkout's code record, the versions, and each checkout's best
+    time of every layer, one child process per checkout, the children
+    timed in turn round by round."""
+    spawn = multiprocessing.get_context("spawn")
+    pipes, children = [], []
+    try:
+        for root in roots:
+            pipe, theirs = spawn.Pipe()
+            children.append(spawn.Process(target=serve, args=(root, theirs)))
+            children[-1].start()
+            pipes.append(pipe)
+        hellos = [pipe.recv() for pipe in pipes]
+        bests = [{} for _ in roots]
+        for name, rounds in hellos[0][2].items():
+            calls = [lambda pipe=pipe: (pipe.send(name), pipe.recv())[1] for pipe in pipes]
+            for best, side_best in zip(bests, best_of(rounds, calls)):
+                best[name] = side_best
+    finally:
+        for pipe, child in zip(pipes, children):
+            with contextlib.suppress(OSError):
+                pipe.send(None)
+            child.join()
+    if any(child.exitcode for child in children):
+        raise SystemExit("a timing child failed")
+    return [code for code, _, _ in hellos], hellos[0][1], bests
 
 
 def record_bests(data: dict, label: str, code: dict, best: dict) -> dict:
@@ -271,54 +301,38 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True, help="key of this run in --out")
     p.add_argument("--out", required=True, type=Path, help="JSON file to merge into")
     p.add_argument("--against", type=Path,
-                   help="another checkout, timed in this process in turn with --root")
+                   help="another checkout, timed in a child process in turn with --root's")
     p.add_argument("--against-label", default="against", help="key of --against in --out")
     args = p.parse_args(argv)
     root = args.root.resolve()
     against = None if args.against is None else args.against.resolve()
     if against is not None and args.against_label == args.label:
         raise SystemExit("--against-label must differ from --label")
-    # first, while this process is small: on Linux a child's peak from
+    # first, while no timing child runs: on Linux a child's peak from
     # wait4 is at least the resident set of the process it forked from
-    colds = cold_spectrum([root] if against is None else [root, against])
-    import numpy
-
-    packages = [load(root, "blochkit")]
-    bk = packages[0][0]
-    if against is not None:
-        copy = Path(tempfile.mkdtemp(prefix="layers-against-"))
-        shutil.copytree(against / "src" / "blochkit", copy / "src" / AGAINST_PACKAGE,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        packages.append(load(copy, AGAINST_PACKAGE))
+    roots = [root] if against is None else [root, against]
+    colds = cold_spectrum(roots)
+    codes, versions, bests = measure(roots)
     environment = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                   "numpy": numpy.__version__, "blas_threads": 1,
+                   **versions, "blas_threads": 1,
                    "rounds": {"layers": ROUNDS, "norm_bounds": 2 * ROUNDS,
                               "kernels": KERNEL_ROUNDS, "suites": SUITE_ROUNDS,
                               "statistic": "best per invocation; median and "
                                            "quartiles across invocations"}}
-    with contextlib.suppress(ImportError):
-        import scipy
-        environment["scipy"] = scipy.__version__
-    try:
-        bests = measure(packages)
-    finally:
-        if args.against is not None:
-            shutil.rmtree(copy)
     for best, cold in zip(bests, colds):
         best.update(cold)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if data.get("environment", environment) != environment:
         raise SystemExit(f"{args.out} was written under another environment")
     data["environment"] = environment
-    report = {args.label: record_bests(data, args.label, code_record(root, bk), bests[0])}
-    if args.against is not None:
-        report[args.against_label] = record_bests(
-            data, args.against_label, code_record(against, packages[1][0]), bests[1])
+    report = {args.label: record_bests(data, args.label, codes[0], bests[0])}
+    if against is not None:
+        report[args.against_label] = record_bests(data, args.against_label, codes[1], bests[1])
         pair = f"{args.label}/{args.against_label}"
         ratios = data.setdefault("ratios", {}).get(pair)
-        codes = [data["runs"][label]["code_sha256"] for label in (args.label, args.against_label)]
-        if ratios is None or ratios["code_sha256"] != codes:
-            ratios = {"code_sha256": codes, "invocations": []}
+        digests = [code["code_sha256"] for code in codes]
+        if ratios is None or ratios["code_sha256"] != digests:
+            ratios = {"code_sha256": digests, "invocations": []}
         ratios["invocations"].append({name: bests[0][name] / bests[1][name] for name in bests[0]})
         ratios["ratio"] = {name: summary([r[name] for r in ratios["invocations"]])
                            for name in bests[0]}

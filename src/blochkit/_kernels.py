@@ -13,7 +13,7 @@ whatever the batch:
 
 - the power table (`_table`), for at most TABLE_MAX_POINTS rows such as
   the refinement steps, computes z_j^k once and gathers every term's
-  factors from it;
+  factors from it, multiplying in only the coordinates its terms raise;
 - the term loop (`_loop`), for sample batches, amortizes its per-term
   overhead over the points, LOOP_CHUNK rows at a time: from 16 384
   complex128 rows (256 KiB) on, numpy multiplies a loop's temporaries in
@@ -27,14 +27,15 @@ whatever the batch:
   one contiguous buffer of the chunk's rows and stores it once.
 
 A family of polynomials has one jet too, each block stacked over the
-members and padded with zero terms: `poly_jet_family` gives row i the
-value and the gradient of member which[i] through the table, in chunks
-of at most TABLE_MAX_POINTS rows, bit for bit each member's own.
+members and padded with zero terms: `poly_jet_family` gathers once the
+factors of member which[i] for row i, then gives row i its value and
+gradient through the table, TABLE_MAX_POINTS rows at a time, bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -51,15 +52,17 @@ class _Sums:
     exponent 0 skipped, and its first counts[s] terms are its own (the
     rest are zero padding). A family stacks its members' sums on a
     leading axis of exps and coef. `index` and `live` gather the factors
-    from a table of the powers 0..top of every coordinate. For the term
-    loop, `terms[s]` lists the (coefficient, factors) of sum s's own
-    terms, each factor a (j, p) pair with p != 0 in ascending j, and
-    `pairs` the sorted distinct pairs of all the sums."""
+    from a table of the powers 0..top, for the coordinates some term
+    raises only. For the term loop, `terms[s]` lists the (coefficient,
+    factors) of sum s's own terms, each factor a (j, p) pair with p != 0
+    in ascending j, and `pairs` the sorted distinct pairs of all the sums."""
 
     def __init__(self, exps: np.ndarray, coef: np.ndarray, top: int, counts=()):
         self.exps, self.coef, self.counts = exps, coef, counts
-        self.index = np.moveaxis(exps + (top + 1) * np.arange(exps.shape[-1]), -1, 0)
-        self.live = np.moveaxis(exps != 0, -1, 0)
+        live = np.moveaxis(exps != 0, -1, 0)
+        raised = live.reshape(len(live), -1).any(axis=1)
+        self.index = np.moveaxis(exps + (top + 1) * np.arange(exps.shape[-1]), -1, 0)[raised]
+        self.live = live[raised]
 
     @cached_property
     def terms(self) -> list[list[tuple]]:
@@ -109,21 +112,21 @@ def _jet(shape: tuple[int, int], pows_bytes: bytes, coeffs_bytes: bytes) -> _Jet
 
 
 def _table(powers: np.ndarray, blocks, Z: np.ndarray,
-           which: np.ndarray | None = None) -> list[np.ndarray]:
+           gathered: bool = False) -> list[np.ndarray]:
     """Each block of sums at the rows of Z, shape (m, sums), from one table
     of coordinate powers. Every block is summed in the layout it has
     alone, since numpy may round a complex product differently in another
-    layout. With `which`, row i sums the block of family member which[i]."""
+    layout. `gathered` blocks are a family's rows, from `_gather`."""
     m = Z.shape[0]
     table = (Z[:, :, None] ** powers).reshape(m, -1)
-    if which is not None:
+    if gathered:
         # row i reads its member's exponents from row i of the table
-        rows, table = table.shape[1] * np.arange(m)[:, None, None], table.reshape(-1)
+        table = table.reshape(-1)
     out = []
-    for sums in blocks:
-        index, live, coef = sums.index, sums.live, sums.coef
-        if which is not None:
-            index, live, coef = index[:, which] + rows, live[:, which], coef[which]
+    for block in blocks:
+        index, live, coef = block.index, block.live, block.coef
+        if gathered:
+            index, live, coef = index[:, :m], live[:, :m], coef[:m]
         acc = np.zeros((m, coef.shape[-2], coef.shape[-1] + 1), dtype=np.complex128)
         terms = acc[:, :, 1:]
         terms[...] = coef
@@ -200,21 +203,35 @@ def _stacked(keys: tuple) -> _Jet:
     return _Jet(powers, stack([jet.value for jet in jets]), stack([jet.grad for jet in jets]))
 
 
+def _gather(blocks, which: np.ndarray, width: int) -> list[list[SimpleNamespace]]:
+    """Per chunk of at most TABLE_MAX_POINTS rows, each block's index, live
+    and coef of the members which[i], indexing row i of a flat table."""
+    chunks = [which[s:s + TABLE_MAX_POINTS] for s in range(0, len(which), TABLE_MAX_POINTS)]
+    return [[SimpleNamespace(index=sums.index[:, w] + width * np.arange(len(w))[:, None, None],
+                             live=sums.live[:, w], coef=sums.coef[w]) for sums in blocks]
+            for w in chunks]
+
+
 def poly_jet_family(members):
     """The jet of a family of polynomials, each a (pows, coeffs) pair of
-    one arity: a function jet(Z, which, value, grad) whose row i is
-    (value, gradient) of members[which[i]] at Z[i], the half not asked
-    for None."""
+    one arity: a function bind(which, value, grad) that gathers the
+    members which[i] once and returns jet(Z), whose row i is (value,
+    gradient) of members[which[i]] at Z[i], for at most len(which) rows,
+    the half not asked for None."""
     family = _stacked(tuple(_key(*member) for member in members))
+    width = len(family.powers) * family.value.exps.shape[-1]
 
-    def jet(Z: np.ndarray, which: np.ndarray, value: bool = True, grad: bool = True):
+    def bind(which: np.ndarray, value: bool = True, grad: bool = True):
         blocks = [sums for sums, asked in ((family.value, value), (family.grad, grad)) if asked]
-        chunks = [_table(family.powers, blocks, Z[s:s + TABLE_MAX_POINTS],
-                         which[s:s + TABLE_MAX_POINTS])
-                  for s in range(0, Z.shape[0], TABLE_MAX_POINTS)]
-        out = iter(chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks)))
-        return (next(out)[:, 0] if value else None), (next(out) if grad else None)
-    return jet
+        chunks = _gather(blocks, which, width)
+
+        def jet(Z: np.ndarray):
+            out = [_table(family.powers, chunk, Z[s:s + TABLE_MAX_POINTS], gathered=True)
+                   for s, chunk in zip(range(0, Z.shape[0], TABLE_MAX_POINTS), chunks)]
+            out = iter(out[0] if len(out) == 1 else map(np.concatenate, zip(*out)))
+            return (next(out)[:, 0] if value else None), (next(out) if grad else None)
+        return jet
+    return bind
 
 
 def backend_name() -> str:

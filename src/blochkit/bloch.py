@@ -14,7 +14,8 @@ share a domain, a config and one draw. The scan takes each distinct
 symbol's |psi| and Q_psi, and the growth, from a memo (`_on_draw`);
 then the restarts of all members search in lockstep, each line cut to
 its closed-form chord, with one batched gauge check and one call of the
-members' family jet per step.
+members' family jet per step, bound to a line's rows once. A part takes
+an argument per row, so the isometry ladder's rungs are one part.
 
 The memo keys a quantity on the identity of a read-only draw (what
 `sample_interior` hands out) and of the symbol or geometry it reads,
@@ -163,21 +164,21 @@ def _refine_max(d: DomainDescriptor, rows, starts,
     all rows of `starts` (one array of rows per member of a family) in
     lockstep, each line cut to its chord. Each row runs a golden-section
     search of `iters` steps on its chord [a, b], keeping the side of the
-    larger of its two inner values (the left one on ties). A step is one
-    gauge check over all rows, then one call rows(P, which) of the
-    family's objective, which values member which[i] at P[i]. Returns the
-    best value and point per row, the members stacked in order."""
+    larger of its two inner values (the left one on ties). A line binds
+    the family's objective to its rows once, as rows(which)(P) values
+    member which[i] at P[i]; a step is one gauge check, then one call.
+    Returns the best value and point per row, the members stacked in order."""
     geo = geometry(d)
     Z = np.concatenate(starts).astype(np.complex128)
     n = Z.shape[1]
     which = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
 
-    def fun(P, which):
+    def fun(P, objective):
         if _outside(geo, P).any():
             raise OutsideDomainError(f"point not interior to {d}")
-        return rows(P, which)
+        return objective(P)
 
-    best = fun(Z, which)
+    best = fun(Z, rows(which))
     for axis in range(2 * n):
         e = np.zeros(n, dtype=np.complex128)
         e[axis % n] = 1.0 if axis < n else 1.0j
@@ -185,23 +186,19 @@ def _refine_max(d: DomainDescriptor, rows, starts,
         live = np.flatnonzero(hi - lo > 1e-14)
         if not len(live):
             continue
-        Zl, a, b, wl = Z[live], lo[live], hi[live], which[live]
-
-        def line(T):
-            return fun(Zl + T[:, None] * e, wl)
-
+        Zl, a, b = Z[live], lo[live], hi[live]
+        # the rows twice: both first inner points in one call, then one each
+        line = rows(np.tile(which[live], 2))
         c, x = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-        # both first inner points in one call
         both = np.concatenate([c, x])
-        fc, fx = np.split(fun(np.concatenate([Zl, Zl]) + both[:, None] * e,
-                              np.concatenate([wl, wl])), 2)
+        fc, fx = np.split(fun(np.concatenate([Zl, Zl]) + both[:, None] * e, line), 2)
         for _ in range(iters):
             # fc >= fx: the bracket ends at x, c moves to x's slot and the
             # new point takes c's; otherwise the mirror image
             left = fc >= fx
             a, b = np.where(left, a, c), np.where(left, x, b)
             new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-            fnew = line(new)
+            fnew = fun(Zl + new[:, None] * e, line)
             c, x = np.where(left, new, x), np.where(left, c, new)
             fc, fx = np.where(left, fnew, fx), np.where(left, fc, fnew)
         t, val = np.where(fc >= fx, c, x), np.where(fc >= fx, fc, fx)
@@ -228,7 +225,7 @@ def _sup_estimates(d: DomainDescriptor, values, rows,
     """Sampled sups of the K members of a family from one stratified
     draw: values(Z) gives every member at every row of Z, shape (K, m),
     and refinement from each member's best points goes through
-    rows(P, which) (see `_refine_max`). Returns (max, argmax, evals) per
+    rows(which) (see `_refine_max`). Returns (max, argmax, evals) per
     member."""
     Z = sample_interior(d, cfg.samples, cfg.seed, cfg.shells)
     scans = values(Z)
@@ -249,36 +246,47 @@ def _sup_estimates(d: DomainDescriptor, values, rows,
 
 def _family_sups(d: DomainDescriptor, members,
                  cfg: SamplingConfig) -> list[tuple[float, np.ndarray, int]]:
-    """Sampled sups of a family of functions part(v, q, Z) of symbols, with
-    v = |psi| and q = Q_psi at the rows of Z, from one `_sup_estimates`
-    call. Each member is a (psi, part, reads) triple, `reads` holding what
-    part reads, "v", "q" or both; the other is passed as None and never
-    evaluated. Symbols and parts are told apart by identity. The scan
-    reads each distinct symbol's v and q from `_on_draw`, and each
-    refinement step is one call of the members' family jet (`jet_family`)
-    over all rows, after which each row keeps its own member's part."""
+    """Sampled sups of a family of functions part(v, q, Z, arg) of symbols,
+    with v = |psi| and q = Q_psi at the rows of Z, from one `_sup_estimates`
+    call. Each member is a (psi, part, reads, arg) quadruple, `reads`
+    holding what part reads, "v", "q" or both; the other is passed as None
+    and never evaluated; `arg` is the member's own, and a refinement step
+    passes each part the array of its rows' args. Symbols and parts are
+    told apart by identity. The scan reads each distinct symbol's v and q
+    from `_on_draw`; each step is one call of the members' family jet
+    (`jet_family`), bound to a line's rows once, after which each row
+    keeps its own member's part."""
     geo = geometry(d)
     syms, reads = {}, {}
-    for psi, _, r in members:
+    for psi, _, r, _ in members:
         syms[id(psi)], reads[id(psi)] = psi, reads.get(id(psi), "") + r
-    parts = list({id(part): part for _, part, _ in members}.values())
-    part_of = np.array([parts.index(part) for _, part, _ in members])
+    parts = list({id(part): part for _, part, _, _ in members}.values())
+    part_of = np.array([parts.index(part) for _, part, _, _ in members])
+    # a part reads each member's arg at its rows, its first member's at others'
+    first = {id(part): arg for _, part, _, arg in reversed(members)}
+    args = [np.array([a if p is part else first[id(part)] for _, p, _, a in members])
+            for part in parts]
 
     def values(Z):
         found = {key: (_on_draw("abs", Z, psi) if "v" in reads[key] else None,
                        _on_draw("q", Z, geo, psi) if "q" in reads[key] else None)
                  for key, psi in syms.items()}
-        return np.stack([part(*found[id(psi)], Z) for psi, part, _ in members])
+        return np.stack([part(*found[id(psi)], Z, arg) for psi, part, _, arg in members])
 
-    jet, asked = jet_family([psi for psi, _, _ in members]), "".join(reads.values())
+    family, asked = jet_family([psi for psi, *_ in members]), "".join(reads.values())
     value, grad = "v" in asked, "q" in asked
 
-    def rows(P, which):
-        v, q = jet(P, which, value, grad)
-        v, q = v if v is None else np.abs(v), q if q is None else geo.q(P, q)
-        if len(parts) == 1:  # as in the battery: nothing to gather
-            return parts[0](v, q, P)
-        return np.stack([part(v, q, P) for part in parts])[part_of[which], np.arange(len(P))]
+    def rows(which):
+        jet, pick = family(which, value, grad), part_of[which]
+        bound = [(part, arg[which]) for part, arg in zip(parts, args)]
+
+        def fun(P):
+            (v, q), m = jet(P), len(P)
+            v, q = v if v is None else np.abs(v), q if q is None else geo.q(P, q)
+            found = [part(v, q, P, arg[:m]) for part, arg in bound]
+            # one part, as in the battery and the ladder: nothing to gather
+            return found[0] if len(found) == 1 else np.stack(found)[pick[:m], np.arange(m)]
+        return fun
 
     return _sup_estimates(d, values, rows, cfg)
 
@@ -303,12 +311,12 @@ def _components(d: DomainDescriptor, asks,
     symbol is not constant."""
     _require_metric(d)
     geo = geometry(d)
-    parts = {"sup": lambda v, q, Z: v,
-             "beta": lambda v, q, Z: q,
-             "sigma": lambda v, q, Z: q * _on_draw("growth", Z, geo, False),
-             "sigma0": lambda v, q, Z: q * _on_draw("growth", Z, geo, True)}
+    parts = {"sup": lambda v, q, Z, _: v,
+             "beta": lambda v, q, Z, _: q,
+             "sigma": lambda v, q, Z, _: q * _on_draw("growth", Z, geo, False),
+             "sigma0": lambda v, q, Z, _: q * _on_draw("growth", Z, geo, True)}
     parts["bloch"] = parts["beta"]
-    members = [(psi, parts[name], "v" if name == "sup" else "q")
+    members = [(psi, parts[name], "v" if name == "sup" else "q", None)
                for psi, certs in asks if is_constant(psi) is None for name in certs]
     found = iter(_family_sups(d, members, cfg) if members else ())
     out = []

@@ -21,6 +21,7 @@ Key facts wired into the verdicts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import inf, isinf, nextafter
 
 import numpy as np
@@ -239,10 +240,11 @@ def norm_bounds(d: DomainDescriptor, psi: SymbolExpr,
     return _sandwich(_sandwich_parts(d, psi, cfg, ("sup", "bloch", sigma)), space)
 
 
-def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[tuple[Polynomial, float]]:
+@lru_cache(maxsize=16)
+def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> tuple[tuple[Polynomial, float], ...]:
     """The test functions f of the battery, each with its certified Bloch
     norm, where that is positive: the constant 1, the first min(n, 3)
-    coordinates, then random sums up to nfuncs members in all."""
+    coordinates, then random sums up to nfuncs members in all; cached, so a tuple."""
     n = d.ambient_dim
     if nfuncs < 1 + min(n, 3):
         raise UsageError(f"nfuncs must be >= {1 + min(n, 3)} on {d}, got {nfuncs}")
@@ -261,7 +263,7 @@ def _battery(d: DomainDescriptor, nfuncs: int, seed: int) -> list[tuple[Polynomi
             terms.append((exps, c))
         if terms:
             out.append(combine("sum", *[Polynomial(n, (t,)) for t in terms]))
-    return [(f, norm) for f in out if (norm := _ceiling(d, f, "bloch")) > 0]
+    return tuple((f, norm) for f in out if (norm := _ceiling(d, f, "bloch")) > 0)
 
 
 def empirical_opnorm_lower(d: DomainDescriptor, psi: SymbolExpr,
@@ -564,6 +566,11 @@ class IsometryReport:
                 "power_betas": {str(k): v for k, v in self.power_betas.items()}}
 
 
+def _power_q(v, q, Z, k):
+    """Q of psi^k, k one power or one per row, from |psi| and Q_psi."""
+    return k * v ** (k - 1) * q
+
+
 def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
                      cfg: SamplingConfig = SamplingConfig(),
                      k_max: int = 16) -> IsometryReport:
@@ -579,8 +586,8 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
        expanding a power: grad psi^k = k psi^(k-1) grad psi, and Q is
        homogeneous in the gradient, so Q of psi^k is k |psi|^(k-1) Q_psi,
        and one evaluation of psi and its gradient per point serves every
-       rung. The rungs stop where expanding psi^k would cross the degree
-       or term cap (`power_within_caps`).
+       rung, one part (`_power_q`) with a per-row k. The rungs stop where
+       expanding psi^k would cross a cap (`power_within_caps`).
     3. Otherwise (a disk factor is present) only the necessary
        conditions ||psi||_inf <= 1 and ||psi||_B = 1 are tested, from
        one sampled-sup call; a numerical violation yields
@@ -616,9 +623,7 @@ def isometry_verdict(d: DomainDescriptor, psi: SymbolExpr,
                     break
                 ks.append(k)
             if ks:
-                # Q of psi^k is k |psi|^(k-1) Q_psi
-                rungs = [(psi, lambda v, q, Z, k=k: k * v ** (k - 1) * q, "vq")
-                         for k in ks]
+                rungs = [(psi, _power_q, "vq", k) for k in ks]
                 betas = {k: sup[0] for k, sup in zip(ks, _family_sups(d, rungs, small))}
         return IsometryReport(
             "not-isometry",

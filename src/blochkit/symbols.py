@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, hypot, inf, log, pi
 
 import numpy as np
@@ -371,28 +371,28 @@ def gradient_many(f: SymbolExpr, Z: np.ndarray) -> np.ndarray:
 
 
 def jet_family(fs) -> Callable:
-    """The jet of a family of symbols of one arity: a function
-    jet(Z, which, value, grad) whose row i holds what `jet_many` gives
-    for fs[which[i]] at Z[i]. A family of one symbol, however often it is
-    listed, is a direct `jet_many` call over all rows; a family of
-    polynomials is one call of the family kernel; any other family takes
+    """The jet of a family of symbols of one arity: bind(which, value,
+    grad) returns jet(Z), whose row i holds what `jet_many` gives for
+    fs[which[i]] at Z[i], Z having at most len(which) rows. One symbol,
+    however often it is listed, is a direct `jet_many` call over all rows;
+    polynomials are one call of the family kernel; any other family takes
     each member's rows, in order, to `jet_many`."""
     if all(f is fs[0] for f in fs):
-        return lambda Z, which, value, grad: jet_many(fs[0], Z, value, grad)
+        return lambda which, value, grad: lambda Z: jet_many(fs[0], Z, value, grad)
     if all(isinstance(f, Polynomial) for f in fs):
         return _kernels.poly_jet_family([_poly_arrays(f) for f in fs])
 
-    def jet(Z: np.ndarray, which: np.ndarray, value: bool, grad: bool):
+    def jet(which: np.ndarray, value: bool, grad: bool, Z: np.ndarray):
         out = (np.empty(len(Z), dtype=np.complex128) if value else None,
                np.empty(Z.shape, dtype=np.complex128) if grad else None)
         for k, f in enumerate(fs):
-            rows = which == k
+            rows = which[:len(Z)] == k
             if rows.any():
                 for block, got in zip(out, jet_many(f, Z[rows], value, grad)):
                     if got is not None:
                         block[rows] = got
         return out
-    return jet
+    return lambda which, value, grad: partial(jet, which, value, grad)
 
 
 def evaluate(f: SymbolExpr, z) -> complex:

@@ -28,7 +28,7 @@ from blochkit import (
     sigma_estimate,
     sigma_upper_poly,
 )
-from blochkit import bloch, metric
+from blochkit import _kernels, bloch, metric
 from blochkit.bloch import _INVPHI, AGAINST, CONSISTENT, _refine_max
 from blochkit.metric import geometry
 from blochkit.estimates import SamplingConfig
@@ -257,15 +257,17 @@ def _pointwise_refine(d, objective, z, iters):
 
 
 def _family(objectives):
-    """rows(P, which) of a family whose member k is objectives[k], each
+    """rows(which) of a family whose member k is objectives[k], each
     called on its own rows."""
-    def rows(P, which):
-        out = np.empty(len(P))
-        for k, objective in enumerate(objectives):
-            mine = which == k
-            if mine.any():
-                out[mine] = objective(P[mine])
-        return out
+    def rows(which):
+        def fun(P):
+            out = np.empty(len(P))
+            for k, objective in enumerate(objectives):
+                mine = which[:len(P)] == k
+                if mine.any():
+                    out[mine] = objective(P[mine])
+            return out
+        return fun
     return rows
 
 
@@ -312,20 +314,20 @@ def test_refinement_raises_the_scan_within_the_certificates(d, f, fast_cfg):
         assert sigma_estimate(d, f, fast_cfg).lower <= sigma_upper_poly(d, f)
 
 
-def _beta_part(v, q, Z):
+def _beta_part(v, q, Z, _):
     return q
 
 
-def _sup_part(v, q, Z):
+def _sup_part(v, q, Z, _):
     return v
 
 
-def _sigma_part(v, q, Z):
+def _sigma_part(v, q, Z, _):
     return q * geometry(polydisk(2)).growth(Z)
 
 
-def _rung_part(v, q, Z):
-    return 3 * v ** 2 * q
+def _rung_part(v, q, Z, k):
+    return k * v ** (k - 1) * q
 
 
 FAMILY_SYMBOLS = (
@@ -344,9 +346,11 @@ def test_family_members_match_their_one_member_calls(restarts):
     # own one-member call does, bit for bit
     d = polydisk(2)
     p, one_term, log, tree, const = FAMILY_SYMBOLS
-    members = [(p, _beta_part, "q"), (log, _sup_part, "v"), (one_term, _sigma_part, "q"),
-               (tree, _rung_part, "vq"), (p, _sup_part, "v"), (const, _beta_part, "q"),
-               (tree, _beta_part, "q"), (p, _rung_part, "vq"), (const, _sup_part, "v")]
+    members = [(p, _beta_part, "q", None), (log, _sup_part, "v", None),
+               (one_term, _sigma_part, "q", None), (tree, _rung_part, "vq", 3),
+               (p, _sup_part, "v", None), (const, _beta_part, "q", None),
+               (tree, _beta_part, "q", None), (p, _rung_part, "vq", 3),
+               (const, _sup_part, "v", None)]
     cfg = SamplingConfig(samples=400, seed=5, refine_restarts=restarts, refine_iters=10)
     found = bloch._family_sups(d, members, cfg)
     assert len(found) == len(members)
@@ -384,17 +388,21 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
         return real_outside(*args)
 
     def counted_refine(d, rows, starts, iters):
-        def counted(P, which):
-            counts["rows"] += 1
-            counts["members"].update(which.tolist())
-            return rows(P, which)
-        return real_refine(d, counted, starts, iters)
+        def bound(which):
+            fun = rows(which)
+
+            def counted(P):
+                counts["rows"] += 1
+                counts["members"].update(which[:len(P)].tolist())
+                return fun(P)
+            return counted
+        return real_refine(d, bound, starts, iters)
 
     monkeypatch.setattr(metric, "contains", counted_contains)
     monkeypatch.setattr(bloch, "_outside", counted_outside)
     monkeypatch.setattr(bloch, "_refine_max", counted_refine)
     # the seminorms of every f and the sup-norm of the first, as one family
-    family = [(f, _beta_part, "q") for f in fs] + [(fs[0], _sup_part, "v")]
+    family = [(f, _beta_part, "q", None) for f in fs] + [(fs[0], _sup_part, "v", None)]
     for restarts in (1, 3, 8):
         cfg = SamplingConfig(samples=500, seed=3, refine_restarts=restarts,
                              refine_iters=iters)
@@ -411,6 +419,28 @@ def test_refinement_calls_no_contains_and_few_objectives(monkeypatch):
         # K members share every gauge check and every objective call of one
         assert 0 < gauges[0] == gauges[1]
         assert calls[0] == calls[1]
+
+
+def test_a_line_gathers_its_members_once(monkeypatch):
+    # the family kernel gathers its rows' members once for the starts and
+    # once per line, however many golden-section steps a line takes
+    d = ball(3)
+    fs = [mkpoly(3, {(1, 0, 0): 0.5, (1, 1, 0): 1.0 - 1.0j, (0, 0, 3): 0.3}),
+          mkpoly(3, {(0, 2, 0): 0.8j, (1, 0, 1): -0.4}),
+          mkpoly(3, {(0, 0, 1): 1.0, (2, 1, 0): 0.3 + 0.3j})]
+    family = [(f, _beta_part, "q", None) for f in fs]
+    real_gather, gathers = _kernels._gather, []
+
+    def counted_gather(*args):
+        gathers[-1] += 1
+        return real_gather(*args)
+
+    monkeypatch.setattr(_kernels, "_gather", counted_gather)
+    for iters in (1, 5, 20):
+        gathers.append(0)
+        bloch._family_sups(d, family, SamplingConfig(samples=300, seed=3, refine_restarts=2,
+                                                     refine_iters=iters))
+    assert 0 < gathers[0] == gathers[1] == gathers[2] <= 2 * d.ambient_dim + 1
 
 
 @pytest.mark.parametrize("vals", [

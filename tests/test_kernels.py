@@ -180,7 +180,7 @@ def test_one_point_matches_its_row_in_a_batch(pows):
         alone = Z[:1].copy()
         np.testing.assert_array_equal(_bits(kernels.poly_eval(pows, coeffs, alone)), _bits(vals[:1]))
         np.testing.assert_array_equal(_bits(kernels.poly_grad(pows, coeffs, alone)), _bits(grad[:1]))
-        family = kernels.poly_jet_family([(pows, coeffs), other])(alone, np.array([0]))
+        family = kernels.poly_jet_family([(pows, coeffs), other])(np.array([0]))(alone)
         np.testing.assert_array_equal(_bits(family[0]), _bits(vals[:1]))
         np.testing.assert_array_equal(_bits(family[1]), _bits(grad[:1]))
 
@@ -224,18 +224,66 @@ def test_family_kernel_matches_each_member_bitwise(m):
     Z = 0.55 * (rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))
     which = rng.integers(0, len(members), size=m)
     which[: len(members)] = np.arange(len(members))[:m]
-    jet = kernels.poly_jet_family(members)
-    vals, grad = jet(Z, which)
+    bind = kernels.poly_jet_family(members)
+    vals, grad = bind(which)(Z)
     assert vals.shape == (m,) and grad.shape == Z.shape
-    assert jet(Z, which, grad=False)[1] is None and jet(Z, which, value=False)[0] is None
-    np.testing.assert_array_equal(_bits(jet(Z, which, grad=False)[0]), _bits(vals))
-    np.testing.assert_array_equal(_bits(jet(Z, which, value=False)[1]), _bits(grad))
+    assert bind(which, grad=False)(Z)[1] is None and bind(which, value=False)(Z)[0] is None
+    np.testing.assert_array_equal(_bits(bind(which, grad=False)(Z)[0]), _bits(vals))
+    np.testing.assert_array_equal(_bits(bind(which, value=False)(Z)[1]), _bits(grad))
     for i in range(m):
         pows, coeffs = members[which[i]]
         np.testing.assert_array_equal(_bits(vals[i:i + 1]),
                                       _bits(kernels.poly_eval(pows, coeffs, Z[i:i + 1])))
         np.testing.assert_array_equal(_bits(grad[i:i + 1]),
                                       _bits(kernels.poly_grad(pows, coeffs, Z[i:i + 1])))
+
+
+class _CountingNumpy:
+    """numpy with its `multiply` calls counted."""
+
+    def __init__(self):
+        self.multiplies = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        self.multiplies += 1
+        return np.multiply(*args, **kwargs)
+
+
+def test_table_multiplies_only_raised_coordinates(monkeypatch):
+    # a ball:5 ladder symbol in z1 and z2, then a family in which one member
+    # alone raises z3: per block the table multiplies only the coordinates
+    # some term of some member raises, and keeps the term loop's bits
+    rng = np.random.default_rng(3)
+    Z = 0.3 * (rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5)))
+    ladder = (np.array([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]),
+              np.array([0.84 + 0.05j, 0.04 + 0.03j, -0.03 + 0.02j]))
+    other = (np.array([[2, 1, 0, 0, 0], [0, 0, 3, 0, 0], [1, 0, 0, 0, 0]]),
+             np.array([0.5 - 0.2j, 0.1 + 0.7j, -0.3j]))
+    which = np.arange(len(Z)) % 2
+    bind = kernels.poly_jet_family([ladder, other])
+    bind(which)(Z)  # build the cached jets before counting
+    counter = _CountingNumpy()
+    monkeypatch.setattr(kernels, "np", counter)
+    vals, grad = kernels.poly_jet(*ladder, Z)
+    # value: z1 and z2; the gradient sums are constants and raise nothing
+    assert counter.multiplies == 2
+    counter.multiplies = 0
+    family_vals, family_grad = bind(which)(Z)
+    # both blocks raise z1, z2 and z3 in one member or the other
+    assert counter.multiplies == 3 + 3
+    monkeypatch.undo()
+    for k, member in enumerate((ladder, other)):
+        jet = kernels._jet(*kernels._key(*member))
+        loop_vals, loop_grad = kernels._loop([jet.value, jet.grad], Z)
+        if k == 0:
+            np.testing.assert_array_equal(_bits(vals), _bits(loop_vals[:, 0]))
+            np.testing.assert_array_equal(_bits(grad), _bits(loop_grad))
+        mine = which == k
+        np.testing.assert_array_equal(_bits(family_vals[mine]), _bits(loop_vals[mine, 0]))
+        np.testing.assert_array_equal(_bits(family_grad[mine]), _bits(loop_grad[mine]))
 
 
 def test_backend_name_reports_active_kernel():

@@ -47,6 +47,7 @@ from blochkit.operators import (
     UNBOUNDED_EVIDENCE,
     _battery,
     _ceiling,
+    _power_q,
 )
 from blochkit.symbols import LogFrac, parse_symbol
 
@@ -251,7 +252,7 @@ def test_families_match_their_members_bit_for_bit(spec, psi, fast_cfg):
             return objective
 
         ladder = {k: bloch._sup_estimates(d, lambda Z: rung(k)(Z)[None],
-                                          lambda P, w: rung(k)(P), small)[0][0]
+                                          lambda w: rung(k), small)[0][0]
                   for k in (1, 2, 4, 8, 16)}
         assert repr(betas) == repr(ladder)
         # and the seminorms of the expanded powers, to rounding
@@ -261,6 +262,37 @@ def test_families_match_their_members_bit_for_bit(spec, psi, fast_cfg):
             assert beta <= beta_upper_poly(power)
     else:
         assert betas == {}  # a disk factor: no power ladder
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_power_ladder_keeps_the_bits_of_one_rung_calls(restarts):
+    # the five rungs are one part with a per-row k; on ball:5, for a symbol
+    # in z1 and z2 only, each rung's sup is, to the bit, a one-member call
+    # of its own k v^(k-1) q
+    d = ball(5)
+    psi = parse_symbol("(0.84+0.05i) + (0.04+0.03i)*z1 + (-0.03+0.02i)*z2", 5)
+    cfg = SamplingConfig(samples=4096, seed=7, refine_restarts=2, refine_iters=20)
+    small = cfg.with_(samples=256, refine_restarts=restarts, refine_iters=12)
+    ks = (1, 2, 4, 8, 16)
+    ladder = bloch._family_sups(d, [(psi, _power_q, "vq", k) for k in ks], small)
+    for k, (beta, argmax, _) in zip(ks, ladder):
+        (alone, alone_argmax, _), = bloch._family_sups(
+            d, [(psi, lambda v, q, Z, _, k=k: k * v ** (k - 1) * q, "vq", None)], small)
+        assert beta.hex() == alone.hex()
+        assert argmax.tobytes() == alone_argmax.tobytes()
+    if restarts == 1:  # the verdict's own sampling
+        betas = isometry_verdict(d, psi, cfg).power_betas
+        assert [betas[k].hex() for k in ks] == [beta.hex() for beta, _, _ in ladder]
+
+
+def test_battery_is_built_once_per_domain_count_and_seed():
+    first = _battery(ball(2), 6, 42)
+    assert isinstance(first, tuple) and _battery(ball(2), 6, 42) is first
+    other = _battery(ball(2), 6, 43)
+    assert other is not first and other != first
+    assert other[:3] == first[:3]  # the constant and the coordinates
+    _battery.cache_clear()
+    assert _battery(ball(2), 6, 42) == first
 
 
 SANDWICH_CASES = (
